@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke workers-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate bench
+.PHONY: ci fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke workers-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate bench-smoke bench
 
-ci: fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke workers-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate
+ci: fmt vet build test race smoke trace-smoke fault-smoke recovery-smoke coalesce-smoke scale-smoke workers-smoke serve-smoke chaos-smoke peer-smoke rdma-smoke bench-gate bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -202,6 +202,11 @@ rdma-smoke:
 # checked-in BENCH_core.json (best of 3 runs absorbs host noise).
 bench-gate:
 	$(GO) run ./cmd/vbbench -benchgate
+
+# Interpreter-layer benchmarks, run once each so they keep compiling
+# and running (numbers are recorded in EXPERIMENTS.md, not gated here).
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkInterp' -benchtime 1x -benchmem ./internal/interp
 
 bench:
 	$(GO) test -bench=. -benchmem .

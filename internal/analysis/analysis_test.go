@@ -792,6 +792,63 @@ func TestConstantPropagationInvalidatedByLoopWrite(t *testing.T) {
 	}
 }
 
+// TestConstantPropagationKilledByFunctionCall: a user FUNCTION may
+// write its whole-variable actuals and any COMMON member, in an
+// assignment and in a condition alike. Neither the actual nor a later
+// read may see the pre-call constant.
+func TestConstantPropagationKilledByFunctionCall(t *testing.T) {
+	u := frontEnd(t, `
+      PROGRAM P
+      INTEGER I, J, L, CNT
+      COMMON /C/ CNT
+      I = 2
+      L = 4
+      CNT = 0
+      J = NXT(I)
+      IF (NXT(L) .GT. 0) J = J + 1
+      PRINT *, I, L, CNT, J
+      END
+
+      INTEGER FUNCTION NXT(M)
+      INTEGER M, CNT
+      COMMON /C/ CNT
+      M = M + 5
+      CNT = CNT + 1
+      NXT = M
+      END
+`)
+	var assign *f77.Assign
+	var cond *f77.IfBlock
+	var print *f77.PrintStmt
+	for _, s := range u.Body {
+		switch x := s.(type) {
+		case *f77.Assign:
+			if x.LHS.Sym.Name == "J" {
+				assign = x
+			}
+		case *f77.IfBlock:
+			cond = x
+		case *f77.PrintStmt:
+			print = x
+		}
+	}
+	isVar := func(e f77.Expr, name string) bool {
+		v, ok := e.(*f77.VarExpr)
+		return ok && v.Sym.Name == name
+	}
+	if call := assign.RHS.(*f77.CallExpr); !isVar(call.Args[0], "I") {
+		t.Errorf("NXT's actual was rewritten to %s; a by-reference actual must stay a variable", f77.FormatExpr(call.Args[0]))
+	}
+	if call := cond.Conds[0].(*f77.Bin).L.(*f77.CallExpr); !isVar(call.Args[0], "L") {
+		t.Errorf("NXT's actual in the condition was rewritten to %s", f77.FormatExpr(call.Args[0]))
+	}
+	for i, name := range []string{"I", "L", "CNT"} {
+		if !isVar(print.Args[i], name) {
+			t.Errorf("PRINT reads %s as %s after a call that may write it", name, f77.FormatExpr(print.Args[i]))
+		}
+	}
+}
+
 // ---- Multiple inductions in one loop ----
 
 func TestTwoInductionVariables(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"vbuscluster/internal/analysis"
@@ -130,6 +131,18 @@ type Compiled struct {
 	// SPMD is the MPI-2 postpass output.
 	SPMD *postpass.Program
 	opts Options
+
+	// plan is SPMD lowered for the interpreter, built on the first run
+	// and shared read-only by every later run, sequential or parallel,
+	// concurrent or not.
+	lowerOnce sync.Once
+	plan      *interp.Plan
+}
+
+// lowered returns the program's shared execution plan.
+func (c *Compiled) lowered() *interp.Plan {
+	c.lowerOnce.Do(func() { c.plan = interp.LowerSPMD(c.SPMD) })
+	return c.plan
 }
 
 // Compile runs the whole pipeline on Fortran 77 source, as the
@@ -342,7 +355,7 @@ func (c *Compiled) RunSequential(mode Mode) (*interp.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return interp.RunSequential(c.Prog, cl, mode)
+	return interp.RunSequential(c.lowered(), cl, mode)
 }
 
 // RunParallel executes the SPMD translation on NumProcs processors.
@@ -364,7 +377,7 @@ func (c *Compiled) RunParallelWith(mode Mode, rp RunParams) (*interp.Result, err
 	if err != nil {
 		return nil, err
 	}
-	return interp.RunParallelConfig(c.SPMD, cl, mode, interp.RunConfig{Workers: rp.Workers, Ctx: rp.Ctx})
+	return interp.RunParallelConfig(c.lowered(), cl, mode, interp.RunConfig{Workers: rp.Workers, Ctx: rp.Ctx})
 }
 
 // RunResilient executes the SPMD translation with coordinated
@@ -398,7 +411,7 @@ func (c *Compiled) RunResilient(mode Mode) (*interp.Result, error) {
 			Machine:        &machine,
 		})
 	}
-	return interp.RunResilient(c.SPMD, cl, mode, interp.ResilientConfig{
+	return interp.RunResilient(c.lowered(), cl, mode, interp.ResilientConfig{
 		Retranslate: retranslate,
 		Dir:         c.opts.CkptDir,
 		Workers:     c.opts.Workers,

@@ -273,3 +273,50 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestFunctionCallEffectsEndToEnd: a FUNCTION that writes its actual
+// and a COMMON counter must be seen by later statements — the
+// sequential baseline and the 4-rank SPMD run print the same values,
+// including in the partitioned loop that reads the written variable.
+func TestFunctionCallEffectsEndToEnd(t *testing.T) {
+	src := `
+      PROGRAM P
+      INTEGER I, J, K, L, CNT
+      REAL A(16)
+      COMMON /C/ CNT
+      I = 2
+      L = 4
+      CNT = 0
+      J = NXT(I)
+      IF (NXT(L) .GT. 0) J = J + 1
+      DO K = 1, 16
+        A(K) = REAL(K + I)
+      ENDDO
+      PRINT *, I, L, CNT, J, A(16)
+      END
+
+      INTEGER FUNCTION NXT(M)
+      INTEGER M, CNT
+      COMMON /C/ CNT
+      M = M + 5
+      CNT = CNT + 1
+      NXT = M
+      END
+`
+	c, err := Compile(src, Options{NumProcs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := c.RunSequential(Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := c.RunParallel(Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "7 9 2 8 23\n"
+	if seq.Output != want || par.Output != want {
+		t.Fatalf("sequential printed %q, parallel %q; want %q", seq.Output, par.Output, want)
+	}
+}

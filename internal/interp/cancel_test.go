@@ -61,7 +61,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunParallelConfig(pp, newCluster(t, 4), Timing, RunConfig{Ctx: ctx})
+	_, err := RunParallelConfig(LowerSPMD(pp), newCluster(t, 4), Timing, RunConfig{Ctx: ctx})
 	if err == nil {
 		t.Fatal("run with a pre-cancelled context completed successfully")
 	}
@@ -85,7 +85,7 @@ func TestRunMidflightCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, err := RunParallelConfig(pp, newCluster(t, 4), Timing, RunConfig{Ctx: ctx})
+	_, err := RunParallelConfig(LowerSPMD(pp), newCluster(t, 4), Timing, RunConfig{Ctx: ctx})
 	if err != nil {
 		var me *mpi.Error
 		if !errors.As(err, &me) || me.Kind != mpi.ErrCancelled {
@@ -93,7 +93,7 @@ func TestRunMidflightCancel(t *testing.T) {
 		}
 	}
 	// A fresh run of the same translated program must be unaffected.
-	if _, err := RunParallelConfig(pp, newCluster(t, 4), Timing, RunConfig{}); err != nil {
+	if _, err := RunParallelConfig(LowerSPMD(pp), newCluster(t, 4), Timing, RunConfig{}); err != nil {
 		t.Fatalf("clean run after a cancelled one: %v", err)
 	}
 }
@@ -103,11 +103,11 @@ func TestRunMidflightCancel(t *testing.T) {
 // still run clean.
 func TestRunNilContextUnchanged(t *testing.T) {
 	pp := cancelProgram(t)
-	a, err := RunParallelConfig(pp, newCluster(t, 4), Timing, RunConfig{})
+	a, err := RunParallelConfig(LowerSPMD(pp), newCluster(t, 4), Timing, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunParallelConfig(pp, newCluster(t, 4), Timing, RunConfig{Ctx: context.Background()})
+	b, err := RunParallelConfig(LowerSPMD(pp), newCluster(t, 4), Timing, RunConfig{Ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,23 @@ import (
 	"vbuscluster/internal/sim"
 )
 
+// cost is a static CPU charge in machine-independent form: how many
+// integer/logical operations, floating-point operations and call
+// overheads one execution performs. Lowering computes it once per
+// statement; a rank prices it against its cluster's CPU model. The
+// terms are integers, so the sum equals, to the picosecond, the
+// charge accumulated term by term.
+type cost struct{ ints, flops, calls int64 }
+
+func (k cost) plus(o cost) cost {
+	return cost{k.ints + o.ints, k.flops + o.flops, k.calls + o.calls}
+}
+
+// price converts a static cost into virtual time on this rank's CPU.
+func (env *Env) price(k cost) sim.Time {
+	return sim.Time(k.ints)*env.cpu.IntOpTime + sim.Time(k.flops)*env.cpu.FlopTime + sim.Time(k.calls)*env.cpu.CallOverhead
+}
+
 // intrinsicWeights cost intrinsics in FlopTime units (rough 2001-era
 // libm latencies relative to a multiply-add).
 var intrinsicWeights = map[string]int64{
@@ -13,81 +30,74 @@ var intrinsicWeights = map[string]int64{
 	"MOD": 3, "DMOD": 3, "SIGN": 2, "NINT": 2,
 }
 
+// opCost prices one arithmetic operation of type t.
+func opCost(t f77.Type) cost {
+	if t.IsFloat() {
+		return cost{flops: 1}
+	}
+	return cost{ints: 1}
+}
+
 // exprCost statically prices one expression evaluation.
-func (env *Env) exprCost(e f77.Expr) sim.Time {
+func exprCost(e f77.Expr) cost {
 	switch x := e.(type) {
-	case nil, *f77.IntLit, *f77.RealLit, *f77.LogLit, *f77.StrLit, *f77.VarExpr:
-		return 0
 	case *f77.ArrayExpr:
 		// Address arithmetic per subscript plus the load.
-		c := sim.Time(len(x.Subs)) * env.cpu.IntOpTime
+		c := cost{ints: int64(len(x.Subs)) + 1}
 		for _, s := range x.Subs {
-			c += env.exprCost(s)
+			c = c.plus(exprCost(s))
 		}
-		return c + env.cpu.IntOpTime
+		return c
 	case *f77.Un:
-		return env.exprCost(x.X) + env.opCost(env.typeOf(x))
+		return exprCost(x.X).plus(opCost(f77.TypeOf(x)))
 	case *f77.Bin:
-		c := env.exprCost(x.L) + env.exprCost(x.R)
+		c := exprCost(x.L).plus(exprCost(x.R))
 		switch x.Op {
 		case f77.OpAnd, f77.OpOr, f77.OpLT, f77.OpLE, f77.OpGT, f77.OpGE, f77.OpEQ, f77.OpNE:
-			return c + env.cpu.IntOpTime
+			return c.plus(cost{ints: 1})
 		case f77.OpPow:
-			return c + 10*env.cpu.FlopTime
+			return c.plus(cost{flops: 10})
 		default:
-			if env.typeOf(x.L).IsFloat() || env.typeOf(x.R).IsFloat() {
-				return c + env.cpu.FlopTime
+			if f77.TypeOf(x.L).IsFloat() || f77.TypeOf(x.R).IsFloat() {
+				return c.plus(cost{flops: 1})
 			}
-			return c + env.cpu.IntOpTime
+			return c.plus(cost{ints: 1})
 		}
 	case *f77.CallExpr:
-		var c sim.Time
+		var c cost
 		for _, a := range x.Args {
-			c += env.exprCost(a)
+			c = c.plus(exprCost(a))
 		}
 		if x.Intrinsic {
 			w := intrinsicWeights[x.Name]
 			if w == 0 {
 				w = 1
 			}
-			return c + sim.Time(w)*env.cpu.FlopTime
+			return c.plus(cost{flops: w})
 		}
 		// User functions price dynamically during execution; the call
 		// site only carries the overhead here (body charges itself).
-		return c + env.cpu.CallOverhead
+		return c.plus(cost{calls: 1})
 	default:
-		return 0
+		// Literals and scalar variables are free.
+		return cost{}
 	}
 }
 
-func (env *Env) opCost(t f77.Type) sim.Time {
-	if t.IsFloat() {
-		return env.cpu.FlopTime
-	}
-	return env.cpu.IntOpTime
-}
-
-// assignCost prices one executed assignment (cached: the cost is
-// static even though the values are not).
-func (env *Env) assignCost(a *f77.Assign) sim.Time {
-	if c, ok := env.aCosts[a]; ok {
-		return c
-	}
-	c := env.exprCost(a.RHS) + env.cpu.IntOpTime // store
+// assignCost prices one executed assignment: the right-hand side, the
+// store, and the address arithmetic of each left-hand subscript.
+func assignCost(a *f77.Assign) cost {
+	c := exprCost(a.RHS).plus(cost{ints: 1})
 	for _, s := range a.LHS.Subs {
-		c += env.exprCost(s) + env.cpu.IntOpTime
+		c = c.plus(exprCost(s)).plus(cost{ints: 1})
 	}
-	env.aCosts[a] = c
 	return c
 }
 
 // isBulkable reports whether a loop subtree can be charged in closed
 // form: only assignments, CONTINUEs and nested DO loops, and no user
 // function calls (whose cost is execution-dependent).
-func (env *Env) isBulkable(loop *f77.DoLoop) bool {
-	if v, ok := env.bulkable[loop]; ok {
-		return v
-	}
+func isBulkable(loop *f77.DoLoop) bool {
 	ok := true
 	f77.WalkStmts([]f77.Stmt{loop}, func(s f77.Stmt) bool {
 		switch s.(type) {
@@ -104,16 +114,12 @@ func (env *Env) isBulkable(loop *f77.DoLoop) bool {
 		})
 		return ok
 	})
-	env.bulkable[loop] = ok
 	return ok
 }
 
 // loopVarDependent reports whether any nested loop's bounds reference
 // this loop's variable (triangular nests need per-iteration cost).
-func (env *Env) loopVarDependent(loop *f77.DoLoop) bool {
-	if v, ok := env.varDep[loop]; ok {
-		return v
-	}
+func loopVarDependent(loop *f77.DoLoop) bool {
 	dep := false
 	reads := func(e f77.Expr) {
 		f77.WalkExpr(e, func(sub f77.Expr) {
@@ -132,48 +138,5 @@ func (env *Env) loopVarDependent(loop *f77.DoLoop) bool {
 		}
 		return true
 	})
-	env.varDep[loop] = dep
 	return dep
-}
-
-// bulkLoopCost prices a bulkable loop without executing its body.
-// Bounds were already evaluated by the caller.
-func (env *Env) bulkLoopCost(loop *f77.DoLoop, from, to, step, trips int64) sim.Time {
-	if trips <= 0 {
-		return 0
-	}
-	if !env.loopVarDependent(loop) {
-		env.setInt(loop.Var, from, loop.Line())
-		per := env.cpu.LoopOverhead + env.spmdTax + env.stmtsCost(loop.Body)
-		return sim.Time(trips) * per
-	}
-	var total sim.Time
-	v := from
-	for k := int64(0); k < trips; k++ {
-		env.setInt(loop.Var, v, loop.Line())
-		total += env.cpu.LoopOverhead + env.spmdTax + env.stmtsCost(loop.Body)
-		v += step
-	}
-	return total
-}
-
-// stmtsCost prices a bulkable statement list in the current env (loop
-// variables of enclosing dry-run levels are set in storage).
-func (env *Env) stmtsCost(stmts []f77.Stmt) sim.Time {
-	var total sim.Time
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *f77.Assign:
-			total += env.assignCost(x)
-		case *f77.ContinueStmt:
-		case *f77.DoLoop:
-			total += 3 * env.cpu.IntOpTime
-			from, to, step, trips := env.loopBounds(x)
-			total += env.bulkLoopCost(x, from, to, step, trips)
-			env.setInt(x.Var, from+trips*step, x.Line())
-		default:
-			env.fail(s.Line(), "non-bulkable statement in bulk costing: %T", s)
-		}
-	}
-	return total
 }

@@ -1,5 +1,6 @@
 // Package interp executes compiled programs on the simulated cluster.
-// It is the execution half of the reproduction: the same evaluator runs
+// It is the execution half of the reproduction: the same lowered
+// program (see Plan) runs
 //
 //   - the sequential baseline (the inlined, analyzed main unit on one
 //     processor), and
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"io"
 
-	"vbuscluster/internal/analysis"
 	"vbuscluster/internal/cluster"
 	"vbuscluster/internal/f77"
 	"vbuscluster/internal/mpi"
@@ -49,11 +49,14 @@ func (m Mode) String() string {
 	return "full"
 }
 
-// Env is one process's execution environment.
+// Env is one process's execution environment: the rank's storage for
+// every slot of the shared Plan, its clock accounting and its output.
 type Env struct {
-	prog *f77.Program
-	unit *f77.Unit
-	mem  map[*f77.Symbol][]float64
+	plan *Plan
+	// slots holds each symbol's current storage, indexed by the plan's
+	// slot numbers. A nil slot has no storage yet: scalars and
+	// lazily deferred arrays allocate on first touch (see bind).
+	slots [][]float64
 
 	cl   *cluster.Cluster
 	rank int
@@ -65,8 +68,7 @@ type Env struct {
 	// in Timing mode, where bulk-charged loops and charge-only
 	// transfers never read the arrays: a 1024-rank timing run then
 	// allocates the program's arrays once (on the master) instead of
-	// 1024 times. Layouts are still registered eagerly so subscript
-	// checking and cost analysis see constant bounds.
+	// 1024 times.
 	lazy bool
 
 	// pending accumulates compute charges between flushes so the
@@ -91,13 +93,6 @@ type Env struct {
 	// commons backs COMMON blocks: per block, per member-index storage,
 	// shared by every unit executed in this env.
 	commons map[string][][]float64
-
-	// caches
-	types    map[f77.Expr]f77.Type
-	layouts  map[*f77.Symbol]*analysis.ArrayLayout
-	aCosts   map[*f77.Assign]sim.Time
-	bulkable map[*f77.DoLoop]bool
-	varDep   map[*f77.DoLoop]bool
 }
 
 // runtimeError aborts execution through a panic recovered at the run
@@ -106,6 +101,11 @@ type runtimeError struct{ err error }
 
 func (e *Env) fail(line int, format string, args ...any) {
 	panic(runtimeError{fmt.Errorf("interp: line %d: %s", line, fmt.Sprintf(format, args...))})
+}
+
+// outOfBounds reports a subscript outside an array's storage.
+func (e *Env) outOfBounds(name string, idx, size int64, line int) {
+	e.fail(line, "%s subscript out of bounds: linear index %d, size %d", name, idx, size)
 }
 
 // checkCancelled aborts execution when the run has been cancelled from
@@ -119,62 +119,49 @@ func (e *Env) checkCancelled() {
 	}
 }
 
-// newEnv allocates the environment for one rank executing unit.
-func newEnv(prog *f77.Program, unit *f77.Unit, cl *cluster.Cluster, rank int, mode Mode, out io.Writer) (*Env, error) {
+// newEnv allocates the environment for one rank executing the plan's
+// main unit.
+func newEnv(plan *Plan, cl *cluster.Cluster, rank int, mode Mode, out io.Writer) (*Env, error) {
 	env := &Env{
-		prog:     prog,
-		unit:     unit,
-		mem:      map[*f77.Symbol][]float64{},
-		cl:       cl,
-		rank:     rank,
-		cpu:      cl.Params().CPU,
-		mode:     mode,
-		out:      out,
-		types:    map[f77.Expr]f77.Type{},
-		layouts:  map[*f77.Symbol]*analysis.ArrayLayout{},
-		aCosts:   map[*f77.Assign]sim.Time{},
-		bulkable: map[*f77.DoLoop]bool{},
-		varDep:   map[*f77.DoLoop]bool{},
-		commons:  map[string][][]float64{},
+		plan:    plan,
+		slots:   make([][]float64, len(plan.slots)),
+		cl:      cl,
+		rank:    rank,
+		cpu:     cl.Params().CPU,
+		mode:    mode,
+		out:     out,
+		commons: map[string][][]float64{},
 	}
 	env.lazy = mode == Timing && rank != 0
-	if err := env.allocUnit(unit); err != nil {
+	if err := env.allocMain(); err != nil {
 		return nil, err
 	}
 	return env, nil
 }
 
-// allocUnit allocates storage for every symbol of the unit. All array
-// bounds must be compile-time constants (the front end inlined
+// allocMain allocates storage for every symbol of the main unit. Its
+// array bounds must be compile-time constants (the front end inlined
 // subroutines into the main unit; adjustable arrays remain only in
 // units executed via CALL, which allocate at call time).
-func (env *Env) allocUnit(u *f77.Unit) error {
-	for _, sym := range u.Syms.Order {
+func (env *Env) allocMain() error {
+	for _, s := range env.plan.main.frame {
+		info := env.plan.slots[s]
+		sym := info.sym
 		if sym.IsConst || sym.IsArg {
 			continue
 		}
 		if sym.Common != "" {
-			buf, err := env.commonSlot(sym)
+			buf, err := env.commonSlot(s)
 			if err != nil {
 				return err
 			}
-			env.mem[sym] = buf
+			env.slots[s] = buf
 			continue
 		}
-		if !sym.IsArray() {
-			env.mem[sym] = make([]float64, 1)
-			continue
-		}
-		lay, err := analysis.LayoutOf(sym)
-		if err != nil || lay.Size == 0 {
-			// Adjustable or assumed arrays allocate lazily at CALL
-			// binding; in the main unit they are an error caught on
-			// first access.
-			continue
-		}
-		env.layouts[sym] = &lay
-		if !env.lazy {
-			env.mem[sym] = make([]float64, lay.Size)
+		// Adjustable or assumed arrays (size 0) are an error caught on
+		// first access; lazily deferred arrays allocate on first touch.
+		if size := info.size(); size > 0 && (!sym.IsArray() || !env.lazy) {
+			env.slots[s] = make([]float64, size)
 		}
 	}
 	return nil
@@ -182,14 +169,12 @@ func (env *Env) allocUnit(u *f77.Unit) error {
 
 // commonSlot returns (allocating on first sight) the shared storage of
 // a COMMON member, enforcing identical element counts across units.
-func (env *Env) commonSlot(sym *f77.Symbol) ([]float64, error) {
-	size := int64(1)
-	if sym.IsArray() {
-		lay, err := analysis.LayoutOf(sym)
-		if err != nil || lay.Size == 0 {
-			return nil, fmt.Errorf("interp: COMMON member %s needs constant bounds", sym.Name)
-		}
-		size = lay.Size
+func (env *Env) commonSlot(s int32) ([]float64, error) {
+	info := env.plan.slots[s]
+	sym := info.sym
+	size := info.size()
+	if size == 0 {
+		return nil, fmt.Errorf("interp: COMMON member %s needs constant bounds", sym.Name)
 	}
 	members := env.commons[sym.Common]
 	for int64(len(members)) <= int64(sym.CommonIndex) {
@@ -205,11 +190,11 @@ func (env *Env) commonSlot(sym *f77.Symbol) ([]float64, error) {
 	return members[sym.CommonIndex], nil
 }
 
-// applyDataInits runs the unit's DATA statements into this env.
-func (env *Env) applyDataInits(u *f77.Unit) {
-	for _, di := range u.DataInits {
-		buf := env.storage(di.Sym, 0)
-		for i, v := range di.Vals {
+// applyDataInits runs a unit's DATA statements into this env.
+func (env *Env) applyDataInits(uc *unitCode) {
+	for _, di := range uc.data {
+		buf := env.buf(di.slot, 0)
+		for i, v := range di.vals {
 			if i < len(buf) {
 				buf[i] = v
 			}
@@ -217,29 +202,44 @@ func (env *Env) applyDataInits(u *f77.Unit) {
 	}
 }
 
-// storage returns the backing slice of a symbol, allocating scalars on
-// demand (implicitly declared in subroutine frames).
-func (env *Env) storage(sym *f77.Symbol, line int) []float64 {
-	if buf, ok := env.mem[sym]; ok {
-		return buf
+// buf returns the storage of slot s, binding it on first touch.
+func (env *Env) buf(s int32, line int) []float64 {
+	if b := env.slots[s]; b != nil {
+		return b
 	}
+	return env.bind(s, line)
+}
+
+// bind gives an unbound slot storage: scalars (implicitly declared in
+// subroutine frames) and lazily deferred arrays allocate zero-filled,
+// exactly as the eager path would have left them.
+func (env *Env) bind(s int32, line int) []float64 {
+	info := env.plan.slots[s]
+	sym := info.sym
 	if sym.IsConst {
 		env.fail(line, "storage of PARAMETER %s", sym.Name)
 	}
-	if !sym.IsArray() {
-		buf := make([]float64, 1)
-		env.mem[sym] = buf
-		return buf
+	if sym.IsArray() && (sym.IsArg || info.size() == 0) {
+		env.fail(line, "array %s has no storage (unbound dummy or non-constant bounds)", sym.Name)
 	}
-	if lay, ok := env.layouts[sym]; ok && lay.Size > 0 {
-		// Lazily deferred array touched after all: allocate now.
-		// Zero-filled, exactly as the eager path would have left it.
-		buf := make([]float64, lay.Size)
-		env.mem[sym] = buf
-		return buf
+	buf := make([]float64, info.size())
+	env.slots[s] = buf
+	return buf
+}
+
+// slotOf resolves a symbol the SPMD machinery names directly
+// (windows, reductions, transfer plans); LowerSPMD gave each a slot.
+func (env *Env) slotOf(sym *f77.Symbol, line int) int32 {
+	s, ok := env.plan.slotOf[sym]
+	if !ok {
+		env.fail(line, "%s was not lowered with the program", sym.Name)
 	}
-	env.fail(line, "array %s has no storage (unbound dummy or non-constant bounds)", sym.Name)
-	return nil
+	return s
+}
+
+// storage returns the storage of a symbol the SPMD machinery names.
+func (env *Env) storage(sym *f77.Symbol, line int) []float64 {
+	return env.buf(env.slotOf(sym, line), line)
 }
 
 // winBacking returns the backing slice a window over sym should
@@ -248,13 +248,11 @@ func (env *Env) storage(sym *f77.Symbol, line int) []float64 {
 // never moves real data through them, so a nil region is fine (the
 // mpi layer only dereferences regions on actual data movement).
 func (env *Env) winBacking(sym *f77.Symbol) []float64 {
-	if buf, ok := env.mem[sym]; ok {
+	s := env.slotOf(sym, 0)
+	if buf := env.slots[s]; buf != nil || env.lazy {
 		return buf
 	}
-	if env.lazy {
-		return nil
-	}
-	return env.storage(sym, 0)
+	return env.buf(s, 0)
 }
 
 // charge books compute time locally.
@@ -269,69 +267,15 @@ func (env *Env) flush() {
 	}
 }
 
-// typeOf memoizes static expression types.
-func (env *Env) typeOf(e f77.Expr) f77.Type {
-	if t, ok := env.types[e]; ok {
-		return t
-	}
-	t := f77.TypeOf(e)
-	env.types[e] = t
-	return t
-}
-
-// layout returns the constant layout of sym if available.
-func (env *Env) layout(sym *f77.Symbol) *analysis.ArrayLayout {
-	if l, ok := env.layouts[sym]; ok {
-		return l
-	}
-	lay, err := analysis.LayoutOf(sym)
-	if err != nil {
-		return nil
-	}
-	env.layouts[sym] = &lay
-	return &lay
-}
-
-// index computes the linear element offset of an array reference.
-func (env *Env) index(sym *f77.Symbol, subs []f77.Expr, line int) int64 {
-	if lay := env.layout(sym); lay != nil && lay.Size > 0 {
-		var idx int64
-		for i, sub := range subs {
-			idx += (env.evalI(sub) - lay.Lows[i]) * lay.Mult[i]
-		}
-		if idx < 0 || idx >= lay.Size {
-			env.fail(line, "%s subscript out of bounds: linear index %d, size %d", sym.Name, idx, lay.Size)
-		}
-		return idx
-	}
-	// Adjustable/assumed-size: evaluate bounds in the current frame.
-	var idx, mult int64 = 0, 1
-	buf := env.storage(sym, line)
-	for i, d := range sym.Dims {
-		low := int64(1)
-		if d.Low != nil {
-			low = env.evalI(d.Low)
-		}
-		idx += (env.evalI(subs[i]) - low) * mult
-		if d.High != nil {
-			mult *= env.evalI(d.High) - low + 1
+// takeMem hands the env's storage over as a result's memory, keyed by
+// symbol name. The env must not run again.
+func (env *Env) takeMem() map[string][]float64 {
+	out := map[string][]float64{}
+	for s, buf := range env.slots {
+		if buf != nil {
+			out[env.plan.slots[s].sym.Name] = buf
 		}
 	}
-	if idx < 0 || idx >= int64(len(buf)) {
-		env.fail(line, "%s subscript out of bounds: linear index %d, size %d", sym.Name, idx, len(buf))
-	}
-	return idx
-}
-
-// setInt stores an integer value into a scalar symbol.
-func (env *Env) setInt(sym *f77.Symbol, v int64, line int) {
-	env.storage(sym, line)[0] = float64(v)
-}
-
-// getInt loads a scalar symbol as an integer.
-func (env *Env) getInt(sym *f77.Symbol, line int) int64 {
-	if sym.IsConst {
-		return int64(sym.Const)
-	}
-	return int64(env.storage(sym, line)[0])
+	env.slots = nil
+	return out
 }

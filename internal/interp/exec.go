@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vbuscluster/internal/f77"
+	"vbuscluster/internal/sim"
 )
 
 // ctrl is the statement-level control-flow outcome.
@@ -16,19 +17,29 @@ const (
 	ctrlJump
 )
 
-// execStmts runs a statement list, resolving GOTO targets within the
-// list and propagating unresolved jumps upward.
-func (env *Env) execStmts(stmts []f77.Stmt) (ctrl, int) {
+// stmtFn executes one lowered statement; a ctrlJump carries its GOTO
+// target label.
+type stmtFn func(*Env) (ctrl, int)
+
+// block is a lowered statement list with the label of each statement.
+type block struct {
+	stmts  []stmtFn
+	labels []int
+}
+
+// run executes the list, resolving GOTO targets within it and
+// propagating unresolved jumps upward.
+func (b *block) run(env *Env) (ctrl, int) {
 	i := 0
-	for i < len(stmts) {
-		c, target := env.execStmt(stmts[i])
+	for i < len(b.stmts) {
+		c, target := b.stmts[i](env)
 		switch c {
 		case ctrlNormal:
 			i++
 		case ctrlJump:
 			found := -1
-			for j, s := range stmts {
-				if s.Label() == target {
+			for j, l := range b.labels {
+				if l == target {
 					found = j
 					break
 				}
@@ -44,239 +55,212 @@ func (env *Env) execStmts(stmts []f77.Stmt) (ctrl, int) {
 	return ctrlNormal, 0
 }
 
-func (env *Env) execStmt(s f77.Stmt) (ctrl, int) {
-	switch x := s.(type) {
-	case *f77.Assign:
-		env.charge(env.assignCost(x))
-		env.execAssign(x)
-		return ctrlNormal, 0
-	case *f77.ContinueStmt:
-		return ctrlNormal, 0
-	case *f77.DoLoop:
-		return env.execLoop(x)
-	case *f77.IfBlock:
-		for k, cond := range x.Conds {
-			env.charge(env.exprCost(cond))
-			if env.evalB(cond) {
-				return env.execStmts(x.Blocks[k])
-			}
-		}
-		return env.execStmts(x.Else)
-	case *f77.Goto:
-		env.charge(env.cpu.IntOpTime)
-		return ctrlJump, x.Target
-	case *f77.CallStmt:
-		env.execCall(x)
-		return ctrlNormal, 0
-	case *f77.ReturnStmt:
-		return ctrlReturn, 0
-	case *f77.StopStmt:
-		return ctrlStop, 0
-	case *f77.PrintStmt:
-		env.charge(env.cpu.CallOverhead)
-		if env.mode == Full && env.out != nil {
-			env.execPrint(x)
-		}
-		return ctrlNormal, 0
-	default:
-		env.fail(s.Line(), "unhandled statement %T", s)
-		return ctrlNormal, 0
-	}
+// ifCode is a lowered block IF: conds[k] (charged costs[k]) selects
+// blocks[k]; els runs when none holds.
+type ifCode struct {
+	conds  []bexpr
+	costs  []cost
+	blocks []*block
+	els    *block
 }
 
-func (env *Env) execAssign(x *f77.Assign) {
-	sym := x.LHS.Sym
-	buf := env.storage(sym, x.Line())
-	var idx int64
-	if len(x.LHS.Subs) > 0 {
-		idx = env.index(sym, x.LHS.Subs, x.Line())
-	}
-	var v float64
-	if env.typeOf(x.RHS) == f77.TLogical && sym.Type == f77.TLogical {
-		if env.evalB(x.RHS) {
-			v = 1
+func (x *ifCode) exec(env *Env) (ctrl, int) {
+	for k, cond := range x.conds {
+		env.charge(env.price(x.costs[k]))
+		if cond(env) {
+			return x.blocks[k].run(env)
 		}
-		buf[idx] = v
-		return
 	}
-	if sym.Type == f77.TInteger {
-		if env.typeOf(x.RHS) == f77.TInteger {
-			v = float64(env.evalI(x.RHS))
-		} else {
-			v = float64(int64(env.evalF(x.RHS))) // REAL→INTEGER truncates
-		}
-	} else {
-		v = env.evalF(x.RHS)
-	}
-	buf[idx] = v
+	return x.els.run(env)
 }
 
-func (env *Env) execLoop(x *f77.DoLoop) (ctrl, int) {
+// loopCode is a lowered DO loop.
+type loopCode struct {
+	line           int
+	v              int32 // loop variable slot
+	from, to, step iexpr // step nil means 1
+	body           *block
+	// bulk is set when the loop nest can be charged in closed form
+	// (Timing mode): only assignments, CONTINUEs and nested DO loops,
+	// and no user function calls.
+	bulk *bulkCode
+}
+
+// bulkCode is the closed-form costing shape of a bulkable loop body.
+type bulkCode struct {
+	// varDep reports that a nested loop's bounds read this loop's
+	// variable (a triangular nest needs per-iteration costing).
+	varDep bool
+	// assigns is the summed static cost of the body's assignments.
+	assigns cost
+	// nested are the body's DO loops, in statement order.
+	nested []*loopCode
+}
+
+func (l *loopCode) exec(env *Env) (ctrl, int) {
 	env.charge(3 * env.cpu.IntOpTime) // bound evaluation
-	if env.mode == Timing && env.isBulkable(x) {
-		from, to, step, trips := env.loopBounds(x)
-		env.charge(env.bulkLoopCost(x, from, to, step, trips))
+	if env.mode == Timing && l.bulk != nil {
+		from, step, trips := l.bounds(env)
+		env.charge(l.bulkCost(env, from, step, trips))
 		// The loop variable's post-loop value per the Fortran standard.
-		env.setInt(x.Var, from+trips*step, x.Line())
+		env.buf(l.v, l.line)[0] = float64(from + trips*step)
 		return ctrlNormal, 0
 	}
-	from, _, step, trips := env.loopBounds(x)
-	v := from
+	from, step, trips := l.bounds(env)
+	v := env.buf(l.v, l.line)
+	x := from
+	tick := env.cpu.LoopOverhead + env.spmdTax
 	for k := int64(0); k < trips; k++ {
-		env.setInt(x.Var, v, x.Line())
-		env.charge(env.cpu.LoopOverhead + env.spmdTax)
-		c, target := env.execStmts(x.Body)
+		v[0] = float64(x)
+		env.charge(tick)
+		c, target := l.body.run(env)
 		switch c {
 		case ctrlReturn, ctrlStop:
 			return c, 0
 		case ctrlJump:
 			return ctrlJump, target // jump out of the loop
 		}
-		v += step
+		x += step
 	}
-	env.setInt(x.Var, v, x.Line())
+	v[0] = float64(x)
 	return ctrlNormal, 0
 }
 
-func (env *Env) loopBounds(x *f77.DoLoop) (from, to, step, trips int64) {
-	from, to = env.evalI(x.From), env.evalI(x.To)
+func (l *loopCode) bounds(env *Env) (from, step, trips int64) {
+	from = l.from(env)
+	to := l.to(env)
 	step = 1
-	if x.Step != nil {
-		step = env.evalI(x.Step)
+	if l.step != nil {
+		step = l.step(env)
 	}
 	if step == 0 {
-		env.fail(x.Line(), "DO step is zero")
+		env.fail(l.line, "DO step is zero")
 	}
 	trips = (to-from)/step + 1
 	if trips < 0 {
 		trips = 0
 	}
-	return from, to, step, trips
+	return from, step, trips
 }
 
-// frame saves symbol bindings shadowed by a CALL.
-type frame struct {
-	unit  *f77.Unit
-	saved map[*f77.Symbol][]float64
+// bulkCost prices a bulkable loop without executing its body. Bounds
+// were already evaluated by the caller.
+func (l *loopCode) bulkCost(env *Env, from, step, trips int64) sim.Time {
+	if trips <= 0 {
+		return 0
+	}
+	v := env.buf(l.v, l.line)
+	if !l.bulk.varDep {
+		v[0] = float64(from)
+		per := env.cpu.LoopOverhead + env.spmdTax + l.bodyCost(env)
+		return sim.Time(trips) * per
+	}
+	var total sim.Time
+	x := from
+	for k := int64(0); k < trips; k++ {
+		v[0] = float64(x)
+		total += env.cpu.LoopOverhead + env.spmdTax + l.bodyCost(env)
+		x += step
+	}
+	return total
 }
 
-// pushFrame binds a callee's dummies and locals. Whole-variable actuals
-// alias (Fortran passes by reference); array-element actuals alias the
-// tail slice (sequence association); expression actuals materialize
-// into a one-element temporary.
-func (env *Env) pushFrame(callee *f77.Unit, args []f77.Expr, line int) *frame {
-	fr := &frame{unit: callee, saved: map[*f77.Symbol][]float64{}}
-	for _, sym := range callee.Syms.Order {
-		fr.saved[sym] = env.mem[sym]
+// bodyCost prices one iteration of a bulkable body in the current env
+// (loop variables of enclosing dry-run levels are set in storage).
+func (l *loopCode) bodyCost(env *Env) sim.Time {
+	total := env.price(l.bulk.assigns)
+	for _, in := range l.bulk.nested {
+		total += 3 * env.cpu.IntOpTime
+		from, step, trips := in.bounds(env)
+		total += in.bulkCost(env, from, step, trips)
+		env.buf(in.v, in.line)[0] = float64(from + trips*step)
 	}
-	// Evaluate actual bindings in the caller's frame first.
-	bind := make([][]float64, len(args))
-	for i, actual := range args {
-		switch a := actual.(type) {
-		case *f77.VarExpr:
-			bind[i] = env.storage(a.Sym, line)
-		case *f77.ArrayExpr:
-			buf := env.storage(a.Sym, line)
-			bind[i] = buf[env.index(a.Sym, a.Subs, line):]
-		default:
-			dummy := callee.Params[i]
-			var v float64
-			if dummy.Type == f77.TInteger {
-				v = float64(env.evalI(actual))
-			} else {
-				v = env.evalF(actual)
-			}
-			bind[i] = []float64{v}
-		}
-	}
-	for i, dummy := range callee.Params {
-		env.mem[dummy] = bind[i]
-	}
-	// Locals allocate fresh (dims may reference just-bound dummies);
-	// COMMON members bind to the shared block storage instead.
-	for _, sym := range callee.Syms.Order {
-		if sym.IsArg || sym.IsConst {
-			continue
-		}
-		if sym.Common != "" {
-			buf, err := env.commonSlot(sym)
-			if err != nil {
-				env.fail(line, "%v", err)
-			}
-			env.mem[sym] = buf
-			continue
-		}
-		if !sym.IsArray() {
-			env.mem[sym] = make([]float64, 1)
-			continue
-		}
-		size := int64(1)
-		for _, d := range sym.Dims {
-			low := int64(1)
-			if d.Low != nil {
-				low = env.evalI(d.Low)
-			}
-			if d.High == nil {
-				env.fail(line, "local array %s of %s has assumed size", sym.Name, callee.Name)
-			}
-			size *= env.evalI(d.High) - low + 1
-		}
-		env.mem[sym] = make([]float64, size)
-	}
-	env.applyDataInits(callee)
-	return fr
-}
-
-func (env *Env) popFrame(fr *frame) {
-	for sym, old := range fr.saved {
-		if old == nil {
-			delete(env.mem, sym)
-		} else {
-			env.mem[sym] = old
-		}
-	}
-}
-
-func (env *Env) execCall(x *f77.CallStmt) {
-	callee := env.prog.Lookup(x.Name)
-	if callee == nil || callee.Kind != f77.KSubroutine {
-		env.fail(x.Line(), "CALL of unknown subroutine %s", x.Name)
-	}
-	env.charge(env.cpu.CallOverhead)
-	fr := env.pushFrame(callee, x.Args, x.Line())
-	defer env.popFrame(fr)
-	env.execUnitBody(callee)
+	return total
 }
 
 // stopSignal unwinds the interpreter on STOP; run boundaries treat it
 // as clean termination.
 type stopSignal struct{}
 
-// execUnitBody runs a unit's statements, swallowing RETURN. STOP
-// unwinds to the nearest run boundary via stopSignal.
-func (env *Env) execUnitBody(u *f77.Unit) {
-	c, target := env.execStmts(u.Body)
+// runBody runs a unit's statements, swallowing RETURN. STOP unwinds to
+// the nearest run boundary via stopSignal.
+func (env *Env) runBody(uc *unitCode) {
+	c, target := uc.body.run(env)
 	if c == ctrlJump {
-		env.fail(0, "GOTO %d has no target in %s", target, u.Name)
+		env.fail(0, "GOTO %d has no target in %s", target, uc.name)
 	}
 	if c == ctrlStop {
 		panic(stopSignal{})
 	}
 }
 
-func (env *Env) execPrint(x *f77.PrintStmt) {
-	parts := make([]any, 0, len(x.Args))
-	for _, a := range x.Args {
-		switch v := a.(type) {
-		case *f77.StrLit:
-			parts = append(parts, v.Val)
-		default:
-			if env.typeOf(a) == f77.TInteger {
-				parts = append(parts, env.evalI(a))
-			} else {
-				parts = append(parts, env.evalF(a))
-			}
+// call executes a CALL or FUNCTION reference: it saves the callee's
+// slots, binds the actuals (evaluated in the caller's frame first) to
+// the dummies, allocates the callee's locals, runs the body and
+// restores the caller's bindings. It returns a FUNCTION's result.
+func (env *Env) call(uc *unitCode, args []actualFn, line int) float64 {
+	saved := make([][]float64, len(uc.frame))
+	for i, s := range uc.frame {
+		saved[i] = env.slots[s]
+	}
+	defer func() {
+		for i, s := range uc.frame {
+			env.slots[s] = saved[i]
 		}
+	}()
+	bind := make([][]float64, len(args))
+	for i, a := range args {
+		bind[i] = a(env)
+	}
+	for i, s := range uc.params {
+		env.slots[s] = bind[i]
+	}
+	// Locals allocate fresh (dims may reference just-bound dummies);
+	// COMMON members bind to the shared block storage instead.
+	for _, l := range uc.locals {
+		switch {
+		case l.common:
+			buf, err := env.commonSlot(l.slot)
+			if err != nil {
+				env.fail(line, "%v", err)
+			}
+			env.slots[l.slot] = buf
+		case l.dims == nil:
+			env.slots[l.slot] = make([]float64, 1)
+		default:
+			size := int64(1)
+			for _, d := range l.dims {
+				low := int64(1)
+				if d.low != nil {
+					low = d.low(env)
+				}
+				if d.high == nil {
+					env.fail(line, "local array %s of %s has assumed size", env.plan.slots[l.slot].sym.Name, uc.name)
+				}
+				size *= d.high(env) - low + 1
+			}
+			if size < 0 {
+				env.fail(line, "local array %s of %s has negative size %d", env.plan.slots[l.slot].sym.Name, uc.name, size)
+			}
+			env.slots[l.slot] = make([]float64, size)
+		}
+	}
+	env.applyDataInits(uc)
+	env.runBody(uc)
+	if uc.result < 0 {
+		return 0
+	}
+	result := env.buf(uc.result, line)[0]
+	if uc.ret == f77.TInteger {
+		result = float64(int64(result))
+	}
+	return result
+}
+
+func (env *Env) print(items []func(*Env) any) {
+	parts := make([]any, len(items))
+	for i, item := range items {
+		parts[i] = item(env)
 	}
 	fmt.Fprintln(env.out, parts...)
 }

@@ -185,7 +185,7 @@ func TestFuzzParallelEqualsSequential(t *testing.T) {
 			src := g.Generate()
 			prog := compile(t, src)
 			cl := newCluster(t, 1)
-			seq, err := RunSequential(prog, cl, Full)
+			seq, err := RunSequential(Lower(prog), cl, Full)
 			if err != nil {
 				t.Fatalf("sequential: %v\n%s", err, src)
 			}
@@ -201,7 +201,7 @@ func TestFuzzParallelEqualsSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("postpass: %v\n%s", err, src)
 			}
-			par, err := RunParallel(pp, newCluster(t, procs), Full)
+			par, err := RunParallel(LowerSPMD(pp), newCluster(t, procs), Full)
 			if err != nil {
 				t.Fatalf("parallel: %v\n%s", err, src)
 			}
@@ -246,11 +246,11 @@ func TestFuzzFormatRoundTrip(t *testing.T) {
 		if err := analysis.FrontEnd(b); err != nil {
 			t.Fatalf("seed %d front end: %v", seed, err)
 		}
-		ra, err := RunSequential(a, newCluster(t, 1), Full)
+		ra, err := RunSequential(Lower(a), newCluster(t, 1), Full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := RunSequential(b, newCluster(t, 1), Full)
+		rb, err := RunSequential(Lower(b), newCluster(t, 1), Full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,11 +278,11 @@ func TestFuzzTimingEqualsFull(t *testing.T) {
 		g := newProgGen(seed)
 		src := g.Generate()
 		prog := compile(t, src)
-		full, err := RunSequential(prog, newCluster(t, 1), Full)
+		full, err := RunSequential(Lower(prog), newCluster(t, 1), Full)
 		if err != nil {
 			t.Fatalf("seed %d full: %v", seed, err)
 		}
-		timing, err := RunSequential(compile(t, src), newCluster(t, 1), Timing)
+		timing, err := RunSequential(Lower(compile(t, src)), newCluster(t, 1), Timing)
 		if err != nil {
 			t.Fatalf("seed %d timing: %v", seed, err)
 		}

@@ -41,7 +41,7 @@ func newCluster(t *testing.T, n int) *cluster.Cluster {
 func runSeq(t *testing.T, src string, mode Mode) *Result {
 	t.Helper()
 	prog := compile(t, src)
-	res, err := RunSequential(prog, newCluster(t, 1), mode)
+	res, err := RunSequential(Lower(prog), newCluster(t, 1), mode)
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}
@@ -55,7 +55,7 @@ func runPar(t *testing.T, src string, procs int, grain lmad.Grain, mode Mode) *R
 	if err != nil {
 		t.Fatalf("postpass: %v", err)
 	}
-	res, err := RunParallel(pp, newCluster(t, procs), mode)
+	res, err := RunParallel(LowerSPMD(pp), newCluster(t, procs), mode)
 	if err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestSubroutineCallByReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Run WITHOUT the front end (no inlining) to exercise CALL frames.
-	res, err := RunSequential(prog, newCluster(t, 1), Full)
+	res, err := RunSequential(Lower(prog), newCluster(t, 1), Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +278,122 @@ func TestOutOfBoundsCaught(t *testing.T) {
       END
 `
 	prog := compile(t, src)
-	if _, err := RunSequential(prog, newCluster(t, 1), Full); err == nil {
+	if _, err := RunSequential(Lower(prog), newCluster(t, 1), Full); err == nil {
 		t.Fatal("out-of-bounds access not reported")
+	}
+
+	// A right-hand-side reference names its statement's source line.
+	rhs := `
+      PROGRAM P
+      REAL A(4), X
+      INTEGER I
+      I = 9
+      X = 1.0
+      X = X + A(I)
+      END
+`
+	_, err := RunSequential(Lower(compile(t, rhs)), newCluster(t, 1), Full)
+	if err == nil || !strings.Contains(err.Error(), "line 7: A subscript out of bounds") {
+		t.Fatalf("right-hand-side out-of-bounds error = %v, want it at line 7", err)
+	}
+}
+
+// TestRuntimeErrorsNameTheLine: integer division by zero and MOD by
+// zero inside expressions report the statement they occur in.
+func TestRuntimeErrorsNameTheLine(t *testing.T) {
+	for _, tc := range []struct{ stmt, want string }{
+		{"J = 7 / K", "line 6: integer division by zero"},
+		{"J = MOD(7, K)", "line 6: MOD by zero"},
+		{"IF (J / K .GT. 0) J = 1", "line 6: integer division by zero"},
+		{"DO J = 1, 7 / K", "line 6: integer division by zero"},
+	} {
+		src := `
+      PROGRAM P
+      INTEGER J, K
+      K = 0
+      J = 1
+      ` + tc.stmt + `
+      END
+`
+		if strings.HasPrefix(tc.stmt, "DO") {
+			src = strings.Replace(src, "      END\n", "      ENDDO\n      END\n", 1)
+		}
+		prog, err := f77.Parse(src) // no front end: K stays a variable
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		_, err = RunSequential(Lower(prog), newCluster(t, 1), Full)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.stmt, err, tc.want)
+		}
+	}
+}
+
+// TestIntegerPowerNegativeExponent: INTEGER ** negative INTEGER
+// truncates 1/I**N — 0 unless I is 1 or -1 — and large exponents
+// square rather than loop.
+func TestIntegerPowerNegativeExponent(t *testing.T) {
+	src := `
+      PROGRAM P
+      INTEGER I, M, N, K(7)
+      I = 2
+      M = 1
+      N = -1
+      K(1) = I ** (-1)
+      K(2) = M ** (-3)
+      K(3) = N ** (-1)
+      K(4) = N ** (-2)
+      K(5) = I ** 10
+      K(6) = N ** 4000000000000000001
+      K(7) = (-I) ** 3
+      END
+`
+	res := runSeq(t, src, Full)
+	sameArray(t, "K", []float64{0, 1, -1, 1, 1024, -1, -8}, res.Mem["K"], 0)
+
+	zero := `
+      PROGRAM P
+      INTEGER I, J
+      I = 0
+      J = I ** (-1)
+      END
+`
+	prog, err := f77.Parse(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSequential(Lower(prog), newCluster(t, 1), Full); err == nil ||
+		!strings.Contains(err.Error(), "line 5: zero raised to a negative integer power") {
+		t.Fatalf("0 ** (-1): error %v", err)
+	}
+}
+
+// TestIntegerExponentEvaluatedOnce: REAL ** INTEGER evaluates its
+// exponent once, so a FUNCTION exponent runs (and charges) once.
+func TestIntegerExponentEvaluatedOnce(t *testing.T) {
+	src := `
+      PROGRAM P
+      INTEGER CNT, I
+      REAL X
+      COMMON /C/ CNT
+      CNT = 0
+      I = 3
+      X = 2.0 ** NXT(I)
+      END
+
+      INTEGER FUNCTION NXT(K)
+      INTEGER K, CNT
+      COMMON /C/ CNT
+      CNT = CNT + 1
+      NXT = K
+      END
+`
+	res := runSeq(t, src, Full)
+	if got := res.Mem["CNT"][0]; got != 1 {
+		t.Fatalf("NXT ran %v times for one reference, want 1", got)
+	}
+	if got := res.Mem["X"][0]; got != 8 {
+		t.Fatalf("X = %v, want 8", got)
 	}
 }
 
@@ -594,7 +708,7 @@ func TestLockedReductionsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunParallel(pp, newCluster(t, procs), Full)
+		res, err := RunParallel(LowerSPMD(pp), newCluster(t, procs), Full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -634,7 +748,7 @@ func TestLockedReductionsCostMore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunParallel(pp, newCluster(t, 4), Timing)
+		res, err := RunParallel(LowerSPMD(pp), newCluster(t, 4), Timing)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -662,7 +776,7 @@ func TestTwoSidedMatchesAndCostsMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RunParallel(ppTwo, newCluster(t, 4), Full)
+	two, err := RunParallel(LowerSPMD(ppTwo), newCluster(t, 4), Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +806,7 @@ func TestTwoSidedMatchesAndCostsMore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunParallel(pp, newCluster(t, 4), Timing)
+		res, err := RunParallel(LowerSPMD(pp), newCluster(t, 4), Timing)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -715,7 +829,7 @@ func TestTwoSidedAllGrains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunParallel(pp, newCluster(t, procs), Full)
+			res, err := RunParallel(LowerSPMD(pp), newCluster(t, procs), Full)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -913,7 +1027,7 @@ func TestCommonBlockSharedStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSequential(prog, newCluster(t, 1), Full)
+	res, err := RunSequential(Lower(prog), newCluster(t, 1), Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -953,7 +1067,7 @@ func TestCommonLayoutMismatchRejected(t *testing.T) {
 	}
 	// Direct execution must also refuse.
 	prog2, _ := f77.Parse(src)
-	if _, err := RunSequential(prog2, newCluster(t, 1), Full); err == nil {
+	if _, err := RunSequential(Lower(prog2), newCluster(t, 1), Full); err == nil {
 		t.Fatal("mismatched COMMON layouts accepted by the interpreter")
 	}
 }
@@ -999,7 +1113,7 @@ func TestPullScatterMatchesAndParallelizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunParallel(pp, newCluster(t, 4), mode)
+		res, err := RunParallel(LowerSPMD(pp), newCluster(t, 4), mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1026,7 +1140,7 @@ func TestPullScatterAllGrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunParallel(pp, newCluster(t, 3), Full)
+		res, err := RunParallel(LowerSPMD(pp), newCluster(t, 3), Full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1090,7 +1204,7 @@ func TestProdAndMinReductions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := RunParallel(pp, newCluster(t, 4), Full)
+		par, err := RunParallel(LowerSPMD(pp), newCluster(t, 4), Full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1213,7 +1327,7 @@ func TestTopLevelGotoForcesSequential(t *testing.T) {
 	if len(pp.Regions) != 1 || pp.Regions[0].Par != nil {
 		t.Fatalf("cross-region GOTO should force one sequential region, got %d regions", len(pp.Regions))
 	}
-	par, err := RunParallel(pp, newCluster(t, 4), Full)
+	par, err := RunParallel(LowerSPMD(pp), newCluster(t, 4), Full)
 	if err != nil {
 		t.Fatal(err)
 	}

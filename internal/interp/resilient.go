@@ -49,7 +49,11 @@ type ResilientConfig struct {
 // Virtual clocks never rewind: the replayed work, the checkpoint
 // rounds and the recovery rounds all show up in the final report, so
 // the cost of surviving the crash is measured rather than hidden.
-func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
+func RunResilient(plan *Plan, cl *cluster.Cluster, mode Mode, cfg ResilientConfig) (*Result, error) {
+	pp := plan.spmd
+	if pp == nil {
+		return nil, fmt.Errorf("interp: resilient run needs a plan lowered from an SPMD translation")
+	}
 	if cl.N() != pp.Opts.NumProcs {
 		return nil, fmt.Errorf("interp: program compiled for %d procs, cluster has %d", pp.Opts.NumProcs, cl.N())
 	}
@@ -65,7 +69,7 @@ func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg Resi
 		}
 	}
 
-	cur := pp
+	cur := plan
 	world := mpi.NewWorld(cl)
 	var (
 		last        *ckpt.Snapshot // last committed checkpoint
@@ -133,7 +137,7 @@ func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg Resi
 			return &Result{
 				Report:      rep,
 				Elapsed:     rep.ElapsedVirtual(),
-				Mem:         snapshotMem(envs[0]),
+				Mem:         envs[0].takeMem(),
 				Output:      out.String(),
 				Regions:     envs[0].regionStats,
 				Recoveries:  recoveries,
@@ -159,7 +163,7 @@ func RunResilient(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg Resi
 			world.Shutdown()
 			return nil, fmt.Errorf("interp: retranslate for %d survivors: %w", world.Size(), err)
 		}
-		cur = npp
+		cur = LowerSPMD(npp)
 		recovering = last != nil
 		recoveries++
 	}
@@ -205,15 +209,16 @@ type epochState struct {
 // per-region execution is identical, but regions run epoch by epoch
 // with a coordinated checkpoint at every epoch boundary, and the whole
 // run may start mid-program from a restored snapshot.
-func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env, st *epochState) (err error) {
+func runRankEpochs(plan *Plan, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env, st *epochState) (err error) {
 	defer recoverRun(&err)
+	pp := plan.spmd
 	var sink *bytes.Buffer
 	if p.Rank() == 0 {
 		sink = masterOut // already holds the snapshot's restored output
 	} else {
 		sink = &bytes.Buffer{}
 	}
-	env, err := newEnv(pp.Source, pp.Main, p.World().Cluster(), p.Rank(), mode, sink)
+	env, err := newEnv(plan, p.World().Cluster(), p.Rank(), mode, sink)
 	if err != nil {
 		return err
 	}
@@ -227,7 +232,7 @@ func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *byte
 	}
 	if p.Rank() == 0 {
 		if st.snap == nil {
-			env.applyDataInits(pp.Main)
+			env.applyDataInits(plan.main)
 		} else if err := env.restoreSnapshot(st.snap); err != nil {
 			return err
 		}
@@ -265,13 +270,7 @@ func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *byte
 			}
 		}
 	}
-	hasStop := false
-	f77.WalkStmts(pp.Main.Body, func(s f77.Stmt) bool {
-		if _, ok := s.(*f77.StopStmt); ok {
-			hasStop = true
-		}
-		return true
-	})
+	hasStop := plan.hasStop
 
 	for e := startEpoch; e < len(pp.Epochs); e++ {
 		for _, ri := range pp.Epochs[e] {
@@ -298,7 +297,7 @@ func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *byte
 			}
 			if region.Par == nil {
 				if p.Rank() == 0 && !halted {
-					if c, _ := env.execStmts(region.Stmts); c == ctrlStop {
+					if c, _ := plan.regions[ri].stmts.run(env); c == ctrlStop {
 						halted = true
 					}
 				}
@@ -323,7 +322,7 @@ func runRankEpochs(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *byte
 				p.Barrier()
 				continue
 			}
-			if err := env.runParRegion(pp, region.Par, p, wins, redWins); err != nil {
+			if err := env.runParRegion(pp, region.Par, plan.regions[ri].par, p, wins, redWins); err != nil {
 				return err
 			}
 			recordRegion()
@@ -377,8 +376,10 @@ func (env *Env) buildSnapshot(epoch int, halted bool, nodes []int, out *bytes.Bu
 			Line: r.Line, Elapsed: r.Elapsed, Comm: r.Comm,
 		})
 	}
-	for sym, buf := range env.mem {
-		s.Arrays[sym.Name] = append([]float64(nil), buf...)
+	for i, buf := range env.slots {
+		if buf != nil {
+			s.Arrays[env.plan.slots[i].sym.Name] = append([]float64(nil), buf...)
+		}
 	}
 	return s
 }
@@ -388,13 +389,17 @@ func (env *Env) buildSnapshot(epoch int, halted bool, nodes []int, out *bytes.Bu
 // snapshot does not know stay zero, like a fresh start would leave
 // them), and the region profile continues from the checkpointed rows.
 func (env *Env) restoreSnapshot(s *ckpt.Snapshot) error {
-	for sym, buf := range env.mem {
-		vals, ok := s.Arrays[sym.Name]
+	for i, buf := range env.slots {
+		if buf == nil {
+			continue
+		}
+		name := env.plan.slots[i].sym.Name
+		vals, ok := s.Arrays[name]
 		if !ok {
 			continue
 		}
 		if len(vals) != len(buf) {
-			return fmt.Errorf("interp: checkpoint array %s has %d cells, program needs %d", sym.Name, len(vals), len(buf))
+			return fmt.Errorf("interp: checkpoint array %s has %d cells, program needs %d", name, len(vals), len(buf))
 		}
 		copy(buf, vals)
 	}

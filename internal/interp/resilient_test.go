@@ -82,7 +82,7 @@ func runResilientTest(t *testing.T, fabric, spec string, procs, ckptEvery int, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	return RunResilient(pp, cl, mode, ResilientConfig{Retranslate: translate, Dir: dir})
+	return RunResilient(LowerSPMD(pp), cl, mode, ResilientConfig{Retranslate: translate, Dir: dir})
 }
 
 // memIdentical compares two result memories bit for bit.

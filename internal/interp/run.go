@@ -73,15 +73,6 @@ func FormatRegions(stats []RegionStat) string {
 	return sb.String()
 }
 
-// snapshotMem copies an env's memory for result inspection.
-func snapshotMem(env *Env) map[string][]float64 {
-	out := map[string][]float64{}
-	for sym, buf := range env.mem {
-		out[sym.Name] = append([]float64(nil), buf...)
-	}
-	return out
-}
-
 // recoverRun converts interpreter panics into errors; STOP is clean
 // termination. Structured MPI fault errors (timeouts, crashes under
 // fault injection) propagate as the run's error.
@@ -102,26 +93,25 @@ func recoverRun(err *error) {
 	}
 }
 
-// RunSequential executes the main unit of prog on a single processor —
+// RunSequential executes the plan's main unit on a single processor —
 // the paper's sequential baseline for speedup measurements. The
 // cluster must have exactly one process.
-func RunSequential(prog *f77.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
+func RunSequential(plan *Plan, cl *cluster.Cluster, mode Mode) (*Result, error) {
 	if cl.N() != 1 {
 		return nil, fmt.Errorf("interp: sequential run needs a 1-process cluster, got %d", cl.N())
 	}
-	main := prog.Main()
-	if main == nil {
+	if plan.main == nil {
 		return nil, fmt.Errorf("interp: program has no main unit")
 	}
 	var out bytes.Buffer
-	env, err := newEnv(prog, main, cl, 0, mode, &out)
+	env, err := newEnv(plan, cl, 0, mode, &out)
 	if err != nil {
 		return nil, err
 	}
 	err = func() (err error) {
 		defer recoverRun(&err)
-		env.applyDataInits(main)
-		env.execUnitBody(main)
+		env.applyDataInits(plan.main)
+		env.runBody(plan.main)
 		return nil
 	}()
 	if err != nil {
@@ -132,23 +122,27 @@ func RunSequential(prog *f77.Program, cl *cluster.Cluster, mode Mode) (*Result, 
 	return &Result{
 		Report:  rep,
 		Elapsed: rep.ElapsedVirtual(),
-		Mem:     snapshotMem(env),
+		Mem:     env.takeMem(),
 		Output:  out.String(),
 	}, nil
 }
 
-// RunParallel executes the SPMD translation on the cluster with the
-// default run configuration: rank goroutines multiplexed over a
+// RunParallel executes the plan's SPMD translation on the cluster with
+// the default run configuration: rank goroutines multiplexed over a
 // GOMAXPROCS-sized worker pool, master/slave execution with
 // scatter/fence/compute/collect/fence per parallel region (§3, §5.4,
 // §5.5).
-func RunParallel(pp *postpass.Program, cl *cluster.Cluster, mode Mode) (*Result, error) {
-	return RunParallelConfig(pp, cl, mode, RunConfig{})
+func RunParallel(plan *Plan, cl *cluster.Cluster, mode Mode) (*Result, error) {
+	return RunParallelConfig(plan, cl, mode, RunConfig{})
 }
 
 // RunParallelConfig is RunParallel with an explicit run configuration
 // (worker-pool sizing; see RunConfig).
-func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
+func RunParallelConfig(plan *Plan, cl *cluster.Cluster, mode Mode, cfg RunConfig) (*Result, error) {
+	pp := plan.spmd
+	if pp == nil {
+		return nil, fmt.Errorf("interp: parallel run needs a plan lowered from an SPMD translation")
+	}
 	P := cl.N()
 	if P != pp.Opts.NumProcs {
 		return nil, fmt.Errorf("interp: program compiled for %d procs, cluster has %d", pp.Opts.NumProcs, P)
@@ -161,6 +155,11 @@ func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg
 		world.SetScheduler(sched)
 	}
 	if cfg.Ctx != nil {
+		// A context that is already dead cancels the world before any
+		// rank starts: a fast run must not finish ahead of the monitor.
+		if cfg.Ctx.Err() != nil {
+			world.Cancel()
+		}
 		// Context monitor: translate an external cancellation into a
 		// world cancel so blocked and computing ranks both unwind. The
 		// monitor itself exits when the run completes.
@@ -190,7 +189,7 @@ func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg
 				sched.acquire(nodes[rank])
 				defer sched.release()
 			}
-			errs[rank] = runRank(pp, world.Rank(rank), mode, &out, &envs[rank])
+			errs[rank] = runRank(plan, world.Rank(rank), mode, &out, &envs[rank])
 			if errs[rank] != nil {
 				// A rank that dies on an error must not strand its
 				// peers in a rendezvous: mark it departed so blocked
@@ -209,21 +208,22 @@ func RunParallelConfig(pp *postpass.Program, cl *cluster.Cluster, mode Mode, cfg
 	return &Result{
 		Report:  rep,
 		Elapsed: rep.ElapsedVirtual(),
-		Mem:     snapshotMem(envs[0]),
+		Mem:     envs[0].takeMem(),
 		Output:  out.String(),
 		Regions: envs[0].regionStats,
 	}, nil
 }
 
-func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env) (err error) {
+func runRank(plan *Plan, p *mpi.Proc, mode Mode, masterOut *bytes.Buffer, envOut **Env) (err error) {
 	defer recoverRun(&err)
+	pp := plan.spmd
 	var sink *bytes.Buffer
 	if p.Rank() == 0 {
 		sink = masterOut
 	} else {
 		sink = &bytes.Buffer{} // slaves' prints are discarded
 	}
-	env, err := newEnv(pp.Source, pp.Main, p.World().Cluster(), p.Rank(), mode, sink)
+	env, err := newEnv(plan, p.World().Cluster(), p.Rank(), mode, sink)
 	if err != nil {
 		return err
 	}
@@ -231,7 +231,7 @@ func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buff
 	*envOut = env
 	if p.Rank() == 0 {
 		// "the master initially holds all program data objects".
-		env.applyDataInits(pp.Main)
+		env.applyDataInits(plan.main)
 	}
 
 	// §5.1 MPI environment generation: windows over every remotely
@@ -262,13 +262,7 @@ func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buff
 	// Programs containing STOP need the master's halt decision shared
 	// with the slaves after each sequential section; STOP-free programs
 	// (all the benchmarks) skip the extra broadcast.
-	hasStop := false
-	f77.WalkStmts(pp.Main.Body, func(s f77.Stmt) bool {
-		if _, ok := s.(*f77.StopStmt); ok {
-			hasStop = true
-		}
-		return true
-	})
+	hasStop := plan.hasStop
 
 	halted := false
 	for ri, region := range pp.Regions {
@@ -297,7 +291,7 @@ func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buff
 			// Sequential section: "the master executes all sequential
 			// sections... slaves wait at barriers".
 			if p.Rank() == 0 && !halted {
-				if c, _ := env.execStmts(region.Stmts); c == ctrlStop {
+				if c, _ := plan.regions[ri].stmts.run(env); c == ctrlStop {
 					halted = true
 				}
 			}
@@ -325,7 +319,7 @@ func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buff
 			p.Barrier()
 			continue
 		}
-		if err := env.runParRegion(pp, region.Par, p, wins, redWins); err != nil {
+		if err := env.runParRegion(pp, region.Par, plan.regions[ri].par, p, wins, redWins); err != nil {
 			return err
 		}
 		recordRegion()
@@ -336,7 +330,7 @@ func runRank(pp *postpass.Program, p *mpi.Proc, mode Mode, masterOut *bytes.Buff
 
 // runParRegion executes one parallel region: barrier, scatter+fence,
 // partitioned loop, reduction combine, collect+fence.
-func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi.Proc, wins, redWins map[*f77.Symbol]*mpi.Win) error {
+func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, loop *loopCode, p *mpi.Proc, wins, redWins map[*f77.Symbol]*mpi.Win) error {
 	P := p.Size()
 	env.flush()
 	p.Barrier()
@@ -385,7 +379,7 @@ func (env *Env) runParRegion(pp *postpass.Program, par *postpass.ParInfo, p *mpi
 	// ---- Partitioned execution (§5.3).
 	trips := par.Ctx.Trips()
 	myTrips := postpass.RankTrips(trips, p.Rank(), P, par.Schedule)
-	env.runPartition(par.Loop, par.Ctx, myTrips)
+	env.runPartition(loop, par.Ctx, myTrips)
 
 	// ---- Combine reductions.
 	if len(reds) > 0 {
@@ -529,9 +523,10 @@ func applyReduction(op string, a, b float64) float64 {
 
 // runPartition executes (or bulk-charges) the rank's share of a
 // parallel loop under the region's schedule.
-func (env *Env) runPartition(loop *f77.DoLoop, ctx analysis.LoopCtx, myTrips []int64) {
+func (env *Env) runPartition(loop *loopCode, ctx analysis.LoopCtx, myTrips []int64) {
 	env.charge(3 * env.cpu.IntOpTime)
-	defer env.setInt(loop.Var, ctx.From+ctx.Trips()*ctx.Step, loop.Line())
+	v := env.buf(loop.v, loop.line)
+	defer func() { v[0] = float64(ctx.From + ctx.Trips()*ctx.Step) }()
 	if len(myTrips) == 0 {
 		return
 	}
@@ -541,29 +536,29 @@ func (env *Env) runPartition(loop *f77.DoLoop, ctx analysis.LoopCtx, myTrips []i
 	env.spmdTax = env.cpu.SPMDIterOverhead
 	defer func() { env.spmdTax = 0 }()
 	iterCost := env.cpu.LoopOverhead + env.spmdTax
-	if env.mode == Timing && env.isBulkable(loop) {
-		if !env.loopVarDependent(loop) {
-			env.setInt(loop.Var, ctx.From, loop.Line())
-			per := iterCost + env.stmtsCost(loop.Body)
+	if env.mode == Timing && loop.bulk != nil {
+		if !loop.bulk.varDep {
+			v[0] = float64(ctx.From)
+			per := iterCost + loop.bodyCost(env)
 			env.charge(sim.Time(len(myTrips)) * per)
 			return
 		}
 		var total sim.Time
 		for _, k := range myTrips {
 			env.checkCancelled()
-			env.setInt(loop.Var, ctx.From+k*ctx.Step, loop.Line())
-			total += iterCost + env.stmtsCost(loop.Body)
+			v[0] = float64(ctx.From + k*ctx.Step)
+			total += iterCost + loop.bodyCost(env)
 		}
 		env.charge(total)
 		return
 	}
 	for _, k := range myTrips {
 		env.checkCancelled()
-		env.setInt(loop.Var, ctx.From+k*ctx.Step, loop.Line())
+		v[0] = float64(ctx.From + k*ctx.Step)
 		env.charge(iterCost)
-		c, _ := env.execStmts(loop.Body)
+		c, _ := loop.body.run(env)
 		if c != ctrlNormal {
-			env.fail(loop.Line(), "control transfer out of a parallel loop")
+			env.fail(loop.line, "control transfer out of a parallel loop")
 		}
 	}
 }

@@ -51,7 +51,7 @@ func runPooled(t *testing.T, src, fabric string, lockRed bool, workers int) (*Re
 	}
 	rec := trace.New()
 	cl.SetRecorder(rec)
-	res, err := RunParallelConfig(pp, cl, Full, RunConfig{Workers: workers})
+	res, err := RunParallelConfig(LowerSPMD(pp), cl, Full, RunConfig{Workers: workers})
 	if err != nil {
 		t.Fatalf("run (workers=%d): %v", workers, err)
 	}
@@ -108,7 +108,7 @@ func TestPooledTimingDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("postpass: %v", err)
 		}
-		res, err := RunParallelConfig(pp, newCluster(t, 4), Timing, RunConfig{Workers: workers})
+		res, err := RunParallelConfig(LowerSPMD(pp), newCluster(t, 4), Timing, RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatalf("timing run: %v", err)
 		}
