@@ -203,10 +203,11 @@ rdma-smoke:
 bench-gate:
 	$(GO) run ./cmd/vbbench -benchgate
 
-# Interpreter-layer benchmarks, run once each so they keep compiling
-# and running (numbers are recorded in EXPERIMENTS.md, not gated here).
+# Interpreter- and rank-scheduling-layer benchmarks, run once each so
+# they keep compiling and running (numbers are recorded in
+# EXPERIMENTS.md, not gated here).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkInterp' -benchtime 1x -benchmem ./internal/interp
+	$(GO) test -run '^$$' -bench 'BenchmarkInterp|BenchmarkBarrier1024' -benchtime 1x -benchmem ./internal/interp
 
 bench:
 	$(GO) test -bench=. -benchmem .

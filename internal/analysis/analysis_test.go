@@ -565,6 +565,52 @@ func TestInductionNotSubstitutedWithStep(t *testing.T) {
 	}
 }
 
+// A GOTO decides substitution by where it jumps relative to the
+// increment: one that stays on one side leaves the increment running
+// once per trip (substituted); one that can skip it, or that leaves
+// the loop, does not.
+func TestInductionGotoPlacement(t *testing.T) {
+	cases := []struct {
+		name, body  string
+		substituted bool
+	}{
+		{"same-side", `
+        K = K + 1
+        IF (A(I) .GT. 0.0) GOTO 20
+        A(I) = 0.0
+   20   CONTINUE`, true},
+		{"skips-increment", `
+        IF (A(I) .GT. 0.0) GOTO 20
+        K = K + 1
+   20   CONTINUE`, false},
+		{"exits-loop", `
+        K = K + 1
+        IF (I .EQ. 4) GOTO 30`, false},
+	}
+	for _, c := range cases {
+		u := frontEnd(t, `
+      PROGRAM P
+      REAL A(10)
+      INTEGER I, K
+      K = 0
+      DO I = 1, 10`+c.body+`
+      ENDDO
+   30 A(1) = REAL(K)
+      END
+`)
+		incremented := false
+		f77.WalkStmts(loopOf(t, u, "I").Body, func(s f77.Stmt) bool {
+			if a, ok := s.(*f77.Assign); ok && a.LHS.Sym.Name == "K" {
+				incremented = true
+			}
+			return true
+		})
+		if incremented == c.substituted {
+			t.Errorf("%s: substituted = %v, want %v", c.name, !incremented, c.substituted)
+		}
+	}
+}
+
 // ---- Triangular detection ----
 
 func TestTriangularCyclicSchedule(t *testing.T) {

@@ -124,8 +124,10 @@ type induction struct {
 // findInductions locates top-level `K = K + c` statements where K is an
 // integer scalar with no other writes in the loop and no uses inside
 // nested conditionals before the increment (which would break the
-// closed form).
+// closed form). An increment that a control transfer can skip, repeat
+// or cut short (see bodyJumps) is not an induction.
 func findInductions(loop *f77.DoLoop) []*induction {
+	jumps := bodyJumps(loop.Body)
 	writes := map[*f77.Symbol]int{}
 	f77.WalkStmts(loop.Body, func(s f77.Stmt) bool {
 		if a, ok := s.(*f77.Assign); ok && len(a.LHS.Subs) == 0 {
@@ -147,7 +149,7 @@ func findInductions(loop *f77.DoLoop) []*induction {
 			continue
 		}
 		c, ok := incrementOf(a)
-		if !ok {
+		if !ok || jumpsAcross(jumps, pos) {
 			continue
 		}
 		// The increment must be at the body's top level (it is: we only
@@ -157,6 +159,56 @@ func findInductions(loop *f77.DoLoop) []*induction {
 		out = append(out, &induction{sym: sym, c: c, pos: pos})
 	}
 	return out
+}
+
+// jump is one control transfer in a loop body, as top-level statement
+// indices of the body: from holds the transfer, to holds its target,
+// and to is -1 when control leaves the loop early — a GOTO to a label
+// outside the body, a RETURN or a STOP.
+type jump struct{ from, to int }
+
+// bodyJumps lists the control transfers of a loop body.
+func bodyJumps(body []f77.Stmt) []jump {
+	home := map[int]int{} // label → top-level index of the statement holding it
+	for i := range body {
+		f77.WalkStmts(body[i:i+1], func(s f77.Stmt) bool {
+			if l := s.Label(); l != 0 {
+				home[l] = i
+			}
+			return true
+		})
+	}
+	var out []jump
+	for i := range body {
+		f77.WalkStmts(body[i:i+1], func(s f77.Stmt) bool {
+			switch x := s.(type) {
+			case *f77.Goto:
+				to, ok := home[x.Target]
+				if !ok {
+					to = -1
+				}
+				out = append(out, jump{i, to})
+			case *f77.ReturnStmt, *f77.StopStmt:
+				out = append(out, jump{i, -1})
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// jumpsAcross reports whether a control transfer breaks the one
+// execution per trip of the increment at top-level index pos: a jump
+// out of the loop skips the post-loop assignment of the final value
+// (and the rest of the trip), a jump from one side of pos to the other
+// skips or repeats the increment, and so does a jump to pos itself.
+func jumpsAcross(jumps []jump, pos int) bool {
+	for _, j := range jumps {
+		if j.to < 0 || j.to == pos || (j.from < pos) != (j.to < pos) {
+			return true
+		}
+	}
+	return false
 }
 
 // incrementOf matches K = K + c / K = c + K / K = K - c.

@@ -156,12 +156,21 @@ func dimStrides(dims []int) []int {
 // placed row-major on the params' mesh (any number of dimensions). It
 // is the single geometry helper shared by the runtime's charging and
 // the compiler's static cost estimator, so the two cannot disagree.
+//
+// Hops runs on every charged transfer, so it allocates nothing: the
+// 2-D geometry lives in a stack array and the row-major stride is a
+// running product.
 func (p Params) Hops(a, b int) int {
-	dims := p.Dims()
-	strides := dimStrides(dims)
+	dims := p.MeshDims
+	if len(dims) == 0 {
+		wh := [2]int{p.MeshWidth, p.MeshHeight}
+		dims = wh[:]
+	}
 	total := 0
+	stride := 1
 	for i, size := range dims {
-		ac, bc := a/strides[i], b/strides[i]
+		ac, bc := a/stride, b/stride
+		stride *= size
 		if i < len(dims)-1 {
 			ac, bc = ac%size, bc%size
 		}

@@ -75,3 +75,25 @@ func TestHops2DCompat(t *testing.T) {
 		}
 	}
 }
+
+// Hops runs on every charged transfer: it must not allocate, on the
+// default 2-D mesh or on an N-D torus.
+func TestHopsAllocFree(t *testing.T) {
+	flat := DefaultParams()
+	flat.MeshWidth, flat.MeshHeight = 32, 32
+	nd := DefaultParams()
+	nd.MeshDims = []int{8, 8, 16}
+	nd.Torus = true
+	for name, p := range map[string]Params{"2d": flat, "3d-torus": nd} {
+		sink := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			sink += p.Hops(3, 1000)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Hops allocates %v times per call, want 0", name, allocs)
+		}
+		if sink == 0 {
+			t.Errorf("%s: Hops(3, 1000) = 0", name)
+		}
+	}
+}

@@ -320,3 +320,74 @@ func TestFunctionCallEffectsEndToEnd(t *testing.T) {
 		t.Fatalf("sequential printed %q, parallel %q; want %q", seq.Output, par.Output, want)
 	}
 }
+
+// seqParOutput compiles src for procs ranks and returns what the
+// sequential and the parallel Full-mode runs print.
+func seqParOutput(t *testing.T, src string, procs int) (seq, par string) {
+	t.Helper()
+	c, err := Compile(src, Options{NumProcs: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.RunSequential(Full)
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	p, err := c.RunParallel(Full)
+	if err != nil {
+		t.Fatalf("parallel: %v", err)
+	}
+	return s.Output, p.Output
+}
+
+// A counter bumped once per trip of a loop that a GOTO leaves early is
+// not an induction variable: substituting its closed form would assign
+// the full-trip final value after the loop, which the GOTO skips.
+func TestInductionGotoExitEndToEnd(t *testing.T) {
+	src := `
+      PROGRAM GX
+      INTEGER HIT, I
+      HIT = 0
+      DO I = 1, 10
+        HIT = HIT + 1
+        IF (I .EQ. 4) GOTO 30
+      ENDDO
+   30 PRINT *, HIT
+      END
+`
+	seq, par := seqParOutput(t, src, 4)
+	if seq != "4\n" || par != "4\n" {
+		t.Fatalf("sequential printed %q, parallel %q; want %q", seq, par, "4\n")
+	}
+}
+
+// A named PARAMETER has no storage to alias, so as a FUNCTION or CALL
+// actual it binds through a temporary, exactly like an expression.
+func TestParameterActualEndToEnd(t *testing.T) {
+	src := `
+      PROGRAM PX
+      INTEGER N
+      PARAMETER (N = 5)
+      REAL X, Y, F
+      X = F(N)
+      CALL TWICE(N, Y)
+      PRINT *, X, Y
+      END
+
+      REAL FUNCTION F(K)
+      INTEGER K
+      F = K * 2.0
+      END
+
+      SUBROUTINE TWICE(K, R)
+      INTEGER K
+      REAL R
+      R = K * 2.0
+      END
+`
+	seq, par := seqParOutput(t, src, 4)
+	const want = "10 10\n"
+	if seq != want || par != want {
+		t.Fatalf("sequential printed %q, parallel %q; want %q", seq, par, want)
+	}
+}

@@ -139,11 +139,23 @@ func newEnv(plan *Plan, cl *cluster.Cluster, rank int, mode Mode, out io.Writer)
 	return env, nil
 }
 
+// scalarPad is one cache line of float64 words.
+const scalarPad = 8
+
 // allocMain allocates storage for every symbol of the main unit. Its
 // array bounds must be compile-time constants (the front end inlined
 // subroutines into the main unit; adjustable arrays remain only in
 // units executed via CALL, which allocate at call time).
+//
+// The main unit's scalars (loop indices, accumulators: stored on every
+// iteration) share one block per rank with a cache line of padding on
+// each side. Allocated one by one, they were 8-byte objects that the
+// Go allocator packs together, so ranks whose envs were built on the
+// same CPU shared cache lines, and two such ranks computing at once
+// invalidated each other's lines on every store.
 func (env *Env) allocMain() error {
+	scalars := make([]float64, len(env.plan.main.frame)+2*scalarPad)
+	next := scalarPad
 	for _, s := range env.plan.main.frame {
 		info := env.plan.slots[s]
 		sym := info.sym
@@ -160,7 +172,11 @@ func (env *Env) allocMain() error {
 		}
 		// Adjustable or assumed arrays (size 0) are an error caught on
 		// first access; lazily deferred arrays allocate on first touch.
-		if size := info.size(); size > 0 && (!sym.IsArray() || !env.lazy) {
+		switch size := info.size(); {
+		case !sym.IsArray():
+			env.slots[s] = scalars[next : next+1 : next+1]
+			next++
+		case size > 0 && !env.lazy:
 			env.slots[s] = make([]float64, size)
 		}
 	}

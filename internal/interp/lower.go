@@ -392,13 +392,18 @@ func (lw *lowerer) callStmt(x *f77.CallStmt) stmtFn {
 
 // actuals lowers a call's argument bindings. Whole-variable actuals
 // alias (Fortran passes by reference); array-element actuals alias the
-// tail slice (sequence association); expression actuals materialize
+// tail slice (sequence association); expression actuals — a named
+// PARAMETER among them, which has no storage to alias — materialize
 // into a one-element temporary of the dummy's type.
 func (lw *lowerer) actuals(callee *f77.Unit, args []f77.Expr, line int) []actualFn {
 	out := make([]actualFn, len(args))
 	for i, a := range args {
 		switch x := a.(type) {
 		case *f77.VarExpr:
+			if x.Sym.IsConst {
+				out[i] = lw.temporary(callee.Params[i], a, line)
+				continue
+			}
 			s := lw.slot(x.Sym)
 			out[i] = func(env *Env) []float64 { return env.buf(s, line) }
 		case *f77.ArrayExpr:
@@ -408,16 +413,21 @@ func (lw *lowerer) actuals(callee *f77.Unit, args []f77.Expr, line int) []actual
 				return b[k:]
 			}
 		default:
-			if callee.Params[i].Type == f77.TInteger {
-				e := lw.exprI(a, line)
-				out[i] = func(env *Env) []float64 { return []float64{float64(e(env))} }
-			} else {
-				e := lw.exprF(a, line)
-				out[i] = func(env *Env) []float64 { return []float64{e(env)} }
-			}
+			out[i] = lw.temporary(callee.Params[i], a, line)
 		}
 	}
 	return out
+}
+
+// temporary binds an expression actual: each call evaluates it into a
+// fresh one-element buffer of the dummy's type.
+func (lw *lowerer) temporary(dummy *f77.Symbol, a f77.Expr, line int) actualFn {
+	if dummy.Type == f77.TInteger {
+		e := lw.exprI(a, line)
+		return func(env *Env) []float64 { return []float64{float64(e(env))} }
+	}
+	e := lw.exprF(a, line)
+	return func(env *Env) []float64 { return []float64{e(env)} }
 }
 
 // print lowers PRINT *, args: each item formats as a string, an

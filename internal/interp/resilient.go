@@ -108,17 +108,17 @@ func RunResilient(plan *Plan, cl *cluster.Cluster, mode Mode, cfg ResilientConfi
 		}
 		envs := make([]*Env, P)
 		errs := make([]error, P)
-		nodes := world.Nodes()
 		var wg sync.WaitGroup
 		for r := 0; r < P; r++ {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
+				p := world.Rank(rank)
 				if sched != nil {
-					sched.acquire(nodes[rank])
+					p.AwaitSlot()
 					defer sched.release()
 				}
-				errs[rank] = runRankEpochs(cur, world.Rank(rank), mode, &out, &envs[rank], st)
+				errs[rank] = runRankEpochs(cur, p, mode, &out, &envs[rank], st)
 				if errs[rank] != nil {
 					// ULFM: the rank observing a failure revokes the
 					// communicator so every blocked peer fails over to

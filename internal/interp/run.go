@@ -177,19 +177,19 @@ func RunParallelConfig(plan *Plan, cl *cluster.Cluster, mode Mode, cfg RunConfig
 
 	envs := make([]*Env, P)
 	errs := make([]error, P)
-	nodes := world.Nodes()
 	var wg sync.WaitGroup
 	for r := 0; r < P; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			p := world.Rank(rank)
 			if sched != nil {
 				// Hold a worker slot while runnable; release runs
 				// before wg.Done (LIFO), after any Depart below.
-				sched.acquire(nodes[rank])
+				p.AwaitSlot()
 				defer sched.release()
 			}
-			errs[rank] = runRank(plan, world.Rank(rank), mode, &out, &envs[rank])
+			errs[rank] = runRank(plan, p, mode, &out, &envs[rank])
 			if errs[rank] != nil {
 				// A rank that dies on an error must not strand its
 				// peers in a rendezvous: mark it departed so blocked

@@ -44,11 +44,12 @@ func effectiveWorkers(w int) int {
 }
 
 // pool is the bounded worker-slot scheduler behind RunConfig.Workers.
-// Each rank goroutine acquires a slot before executing and releases it
-// on exit; the mpi layer's Park/Unpark hooks release the slot while a
-// rank is blocked inside the runtime. A freed slot is handed directly
-// to the parked rank with the lowest (virtual clock, arrival) key —
-// the furthest-behind rank resumes first, mirroring the engine's
+// Each rank goroutine is granted a slot before executing
+// (mpi.Proc.AwaitSlot) and releases it on exit; a rank blocked inside
+// the runtime Parks, giving its slot back, and is made Ready by the
+// event that ends its wait. A freed slot is handed directly to the
+// ready rank with the lowest (virtual clock, arrival) key — the
+// furthest-behind rank resumes first, mirroring the engine's
 // deterministic lowest-time-first discipline. That order is a
 // throughput heuristic only: virtual results are identical whatever
 // order slots are granted in.
@@ -57,49 +58,48 @@ type pool struct {
 
 	mu    sync.Mutex
 	free  int
-	queue *sim.ReadyQueue // parked ranks, keyed by virtual clock at park time
+	queue sim.ReadyQueue[chan<- struct{}] // ready ranks without a slot, keyed by virtual clock
 }
 
 func newPool(cl *cluster.Cluster, workers int) *pool {
 	if workers < 1 {
 		workers = 1
 	}
-	return &pool{cl: cl, free: workers, queue: sim.NewReadyQueue()}
+	return &pool{cl: cl, free: workers}
 }
 
-// acquire blocks until a worker slot is available. The rank's clock is
-// sampled before taking the pool lock (the cluster has its own lock;
-// the two are never nested).
-func (s *pool) acquire(node int) {
+// Ready implements mpi.Scheduler: it grants the rank on node a free
+// slot now, or queues it for the next slot released, and signals wake
+// once the rank holds one. The rank's clock is sampled before taking
+// the pool lock (the cluster has its own lock; the two are never
+// nested). It never blocks: wake has room for the one signal.
+func (s *pool) Ready(node int, wake chan<- struct{}) {
 	at := s.cl.Clock(node)
 	s.mu.Lock()
 	if s.free > 0 {
 		s.free--
 		s.mu.Unlock()
+		wake <- struct{}{}
 		return
 	}
-	ch := make(chan struct{})
-	s.queue.Push(at, ch)
+	s.queue.Push(at, wake)
 	s.mu.Unlock()
-	<-ch
 }
 
+// Park implements mpi.Scheduler: a rank blocking inside the runtime
+// gives its slot away.
+func (s *pool) Park(node int) { s.release() }
+
 // release frees a slot, handing it directly to the longest-behind
-// parked rank if any is waiting. It never blocks, so it is safe to
-// call with runtime-internal locks held (the Park contract).
+// ready rank if any is queued. It never blocks, so it is safe to call
+// with runtime-internal locks held (the Park contract).
 func (s *pool) release() {
 	s.mu.Lock()
-	if v, ok := s.queue.Pop(); ok {
+	if wake, ok := s.queue.Pop(); ok {
 		s.mu.Unlock()
-		close(v.(chan struct{}))
+		wake <- struct{}{}
 		return
 	}
 	s.free++
 	s.mu.Unlock()
 }
-
-// Park and Unpark implement mpi.Scheduler: a rank blocking inside the
-// runtime gives its slot away and reclaims one once runnable again.
-func (s *pool) Park(node int) { s.release() }
-
-func (s *pool) Unpark(node int) { s.acquire(node) }

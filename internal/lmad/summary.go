@@ -1,7 +1,9 @@
 package lmad
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -315,7 +317,14 @@ func Plan(l LMAD, parallelDim int, g Grain) []Transfer {
 // through unmerged. The §5.6 coarse grain applies this across all of a
 // processor's transfers for one array, collapsing them into the "one
 // big approximate region" of Figure 9(d).
+//
+// The result may alias plan: a plan of at most one transfer is already
+// minimal and comes back unchanged, without a copy. A caller that
+// stamps the result in place (MarkRendezvous) must therefore own plan.
 func MergeContiguous(plan []Transfer) []Transfer {
+	if len(plan) <= 1 {
+		return plan
+	}
 	var dense, strided []Transfer
 	for _, t := range plan {
 		if t.Stride == 1 {
@@ -324,7 +333,7 @@ func MergeContiguous(plan []Transfer) []Transfer {
 			strided = append(strided, t)
 		}
 	}
-	sort.Slice(dense, func(i, j int) bool { return dense[i].Offset < dense[j].Offset })
+	slices.SortFunc(dense, func(a, b Transfer) int { return cmp.Compare(a.Offset, b.Offset) })
 	var out []Transfer
 	for _, t := range dense {
 		if n := len(out); n > 0 {

@@ -253,6 +253,25 @@ func TestMergeContiguous(t *testing.T) {
 	}
 }
 
+// A plan of one transfer is already minimal: it comes back as is
+// (aliasing the input) and costs no allocation.
+func TestMergeContiguousSingleAllocFree(t *testing.T) {
+	for _, tr := range []Transfer{
+		{Offset: 3, Elems: 9, Stride: 1},
+		{Offset: 5, Elems: 4, Stride: 6, Packed: true},
+	} {
+		plan := []Transfer{tr}
+		var got []Transfer
+		allocs := testing.AllocsPerRun(100, func() { got = MergeContiguous(plan) })
+		if allocs != 0 {
+			t.Errorf("%+v: %v allocations per merge, want 0", tr, allocs)
+		}
+		if len(got) != 1 || got[0] != tr || &got[0] != &plan[0] {
+			t.Errorf("%+v: merged to %+v, want the input plan itself", tr, got)
+		}
+	}
+}
+
 func TestMergeContiguousEmpty(t *testing.T) {
 	if got := MergeContiguous(nil); len(got) != 0 {
 		t.Fatalf("merge of nothing = %+v", got)

@@ -36,14 +36,17 @@ func (o Op) apply(a, b float64) float64 {
 	}
 }
 
-// collSlot carries one in-flight collective's contributions and result
-// across the rendezvous generation.
+// collSlot is one collective's rendezvous: the count and latest clock
+// of the ranks that have arrived (their contributions go to the
+// world's reused collVals), then — once the last arrival has run
+// finish — the shared result every rank returns.
 type collSlot struct {
-	vals      [][]float64
+	arrived   int
+	maxT      sim.Time
+	done      bool
 	result    []float64
 	commCost  sim.Time
 	transport interconnect.Transport
-	remaining int
 }
 
 // collectiveE is the shared rendezvous: every rank contributes, the
@@ -54,6 +57,10 @@ type collSlot struct {
 // same class — under fault injection a broadcast may degrade from the
 // hardware bus to the software tree). All ranks return the shared
 // result.
+//
+// Every earlier arrival parks (see park) and the last arrival readies
+// exactly those ranks, each once: a waiter wakes already holding its
+// worker slot, finds its slot done and returns.
 //
 // Under fault injection the rendezvous can fail instead of blocking
 // forever: a crashed or departed rank fails every waiter with
@@ -77,80 +84,65 @@ func (w *World) collectiveE(rank int, op string, contrib []float64,
 		entry = w.cl.Clock(node)
 		wallStart = time.Now()
 	}
-	// A waiter releases its worker slot while blocked in the rendezvous
-	// (Park under w.mu is non-blocking by contract) and reclaims one on
-	// every exit path — release, revocation, crashed peer, watchdog —
-	// after w.mu is dropped. The last arrival never parks: it runs
-	// finish and returns holding its slot.
-	sched := w.sched
-	parked := false
-	defer func() {
-		if parked {
-			sched.Unpark(node)
-		}
-	}()
 	w.mu.Lock()
 	if w.nDown > 0 {
 		w.mu.Unlock()
 		return nil, 0, &Error{Kind: ErrPeerCrashed, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
 	}
-	gen := w.gen
-	slot, ok := w.slots[gen]
-	if !ok {
-		slot = &collSlot{vals: make([][]float64, w.n), remaining: w.n}
-		w.slots[gen] = slot
+	slot := w.coll
+	if slot == nil {
+		slot = &collSlot{}
+		w.coll = slot
 	}
-	slot.vals[rank] = contrib
-	if t := w.cl.Clock(node); t > w.maxT {
-		w.maxT = t
+	w.collVals[rank] = contrib
+	if t := w.cl.Clock(node); t > slot.maxT {
+		slot.maxT = t
 	}
-	w.arrived++
-	if w.arrived == w.n {
-		release, result, commCost, tr := finish(w.maxT, slot.vals)
+	slot.arrived++
+	if slot.arrived == w.n {
+		release, result, commCost, tr := finish(slot.maxT, w.collVals)
+		clear(w.collVals) // finish keeps no contribution; drop them
 		slot.result = result
 		slot.commCost = commCost
 		slot.transport = tr
+		slot.done = true
 		w.cl.SetSome(w.nodes, release)
-		w.arrived = 0
-		w.maxT = 0
-		w.gen++
-		w.cond.Broadcast()
+		w.coll = nil
+		// Every other rank has arrived, so every rank parked on a
+		// collective is parked on this one.
+		for r, k := range w.waiting {
+			if k == waitColl {
+				w.ready(r)
+			}
+		}
 	} else {
-		for gen == w.gen {
+		for !slot.done {
 			if w.revoked {
-				w.arrived--
+				slot.arrived--
 				w.mu.Unlock()
 				return nil, 0, &Error{Kind: ErrRevoked, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
 			}
 			if w.cancelled.Load() {
-				w.arrived--
+				slot.arrived--
 				w.mu.Unlock()
 				return nil, 0, &Error{Kind: ErrCancelled, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
 			}
 			if w.nDown > 0 {
-				w.arrived--
+				slot.arrived--
 				w.mu.Unlock()
 				return nil, 0, &Error{Kind: ErrPeerCrashed, Rank: rank, Op: op, Peer: -1, Time: w.cl.Clock(node)}
 			}
 			if deadline > 0 && time.Since(wallStart) > WatchdogWall {
-				w.arrived--
+				slot.arrived--
 				w.mu.Unlock()
 				return nil, 0, &Error{Kind: ErrTimeout, Rank: rank, Op: op, Peer: -1, Time: entry + deadline}
 			}
-			if sched != nil && !parked {
-				parked = true
-				sched.Park(node)
-			}
-			w.cond.Wait()
+			w.park(rank, waitColl)
 		}
 	}
 	res := slot.result
 	cost := slot.commCost
 	tr := slot.transport
-	slot.remaining--
-	if slot.remaining == 0 {
-		delete(w.slots, gen)
-	}
 	w.mu.Unlock()
 	w.cl.BookComm(node, cost, 0)
 	return res, tr, nil

@@ -31,7 +31,7 @@ import (
 // virtual deadline. Tests shrink this.
 var WatchdogWall = 3 * time.Second
 
-// watchdogTick is how often the watchdog goroutine wakes blocked
+// watchdogTick is how often the watchdog goroutine wakes parked
 // waiters to re-check their deadlines.
 const watchdogTick = 25 * time.Millisecond
 
@@ -52,9 +52,9 @@ func (w *World) Shutdown() {
 	}
 }
 
-// startWatchdog spawns the broadcast ticker that lets deadline-blocked
-// waiters re-check wall time. Only started when the spec sets a
-// deadline.
+// startWatchdog spawns the ticker that readies every parked waiter so
+// deadline-blocked ranks re-check wall time (those whose deadline has
+// not passed park again). Only started when the spec sets a deadline.
 func (w *World) startWatchdog() {
 	w.watchStop = make(chan struct{})
 	stop := w.watchStop
@@ -67,7 +67,7 @@ func (w *World) startWatchdog() {
 				return
 			case <-t.C:
 				w.mu.Lock()
-				w.cond.Broadcast()
+				w.wakeAll()
 				w.mu.Unlock()
 			}
 		}
@@ -84,7 +84,7 @@ func (w *World) Cancel() {
 	if w.cancelled.CompareAndSwap(false, true) {
 		close(w.cancelCh)
 		w.mu.Lock()
-		w.cond.Broadcast()
+		w.wakeAll()
 		w.mu.Unlock()
 	}
 }
@@ -98,7 +98,7 @@ func (p *Proc) cancelErr(op string, peer int) *Error {
 	return &Error{Kind: ErrCancelled, Rank: p.rank, Op: op, Peer: peer, Time: p.w.cl.Clock(p.node())}
 }
 
-// noteDown marks rank as crashed/departed and wakes every blocked
+// noteDown marks rank as crashed/departed and wakes every parked
 // waiter so operations depending on it can fail instead of hanging.
 func (w *World) noteDown(rank int) {
 	w.mu.Lock()
@@ -106,7 +106,7 @@ func (w *World) noteDown(rank int) {
 		w.down[rank] = true
 		w.nDown++
 	}
-	w.cond.Broadcast()
+	w.wakeAll()
 	w.mu.Unlock()
 }
 
@@ -119,7 +119,7 @@ func (w *World) noteCrashed(rank int) {
 		w.down[rank] = true
 		w.nDown++
 	}
-	w.cond.Broadcast()
+	w.wakeAll()
 	w.mu.Unlock()
 }
 

@@ -107,7 +107,11 @@ func (p *Proc) post(dst, tag int, data []float64) {
 	w.mu.Lock()
 	k := mbKey{src: p.rank, dst: dst, tag: tag}
 	w.boxes[k] = append(w.boxes[k], item)
-	w.cond.Broadcast()
+	// Only dst can match this message: wake dst if it is parked in a
+	// receive, and nobody else.
+	if w.waiting[dst] == waitRecv {
+		w.ready(dst)
+	}
 	w.mu.Unlock()
 }
 
@@ -189,17 +193,8 @@ func (p *Proc) RecvE(src, tag int) ([]float64, error) {
 		wallStart = time.Now()
 	}
 	rec, begin := p.traceBegin()
-	// A rank that has to wait for its sender releases its worker slot
-	// (Park, under w.mu: non-blocking by contract) and reclaims one on
-	// every exit path — match, deadline push-back, revocation, crashed
-	// peer or watchdog — after w.mu is dropped.
-	sched := w.sched
-	parked := false
-	defer func() {
-		if parked {
-			sched.Unpark(node)
-		}
-	}()
+	// A rank that has to wait for its sender parks until a post to it
+	// (or an error-path wake) readies it, then rechecks from the top.
 	w.mu.Lock()
 	var item *pendingSend
 	for {
@@ -237,11 +232,7 @@ func (p *Proc) RecvE(src, tag int) ([]float64, error) {
 			w.mu.Unlock()
 			return nil, &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpRecv, Peer: src, Time: entry + deadline}
 		}
-		if sched != nil && !parked {
-			parked = true
-			sched.Park(node)
-		}
-		w.cond.Wait()
+		w.park(p.rank, waitRecv)
 	}
 	w.mu.Unlock()
 

@@ -26,7 +26,7 @@ import (
 func (w *World) Revoke() {
 	w.mu.Lock()
 	w.revoked = true
-	w.cond.Broadcast()
+	w.wakeAll()
 	w.mu.Unlock()
 }
 

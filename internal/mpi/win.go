@@ -240,21 +240,21 @@ func (p *Proc) LockE(win *Win, target int) error {
 				select {
 				case win.lockCh[target] <- struct{}{}:
 				case <-p.w.cancelCh:
-					sched.Unpark(p.node())
+					p.resume()
 					return p.cancelErr(trace.OpLock, target)
 				case <-time.After(WatchdogWall):
-					sched.Unpark(p.node())
+					p.resume()
 					return &Error{Kind: ErrTimeout, Rank: p.rank, Op: trace.OpLock, Peer: target, Time: entry + d}
 				}
 			} else {
 				select {
 				case win.lockCh[target] <- struct{}{}:
 				case <-p.w.cancelCh:
-					sched.Unpark(p.node())
+					p.resume()
 					return p.cancelErr(trace.OpLock, target)
 				}
 			}
-			sched.Unpark(p.node())
+			p.resume()
 		}
 	} else if d > 0 {
 		select {

@@ -48,15 +48,22 @@ type World struct {
 	// to the physical node.
 	nodes []int
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
-	// Collective rendezvous state (one collective in flight at a time,
-	// as MPI ordering rules require).
-	arrived int
-	gen     uint64
-	maxT    sim.Time
-	slots   map[uint64]*collSlot
+	// Blocked-rank hand-off (see park). wake holds each rank's wake
+	// channel: buffered with capacity one, allocated here once and
+	// reused for every wait. waiting records what each parked rank
+	// waits for (guarded by mu); notWaiting means it is running.
+	wake    []chan struct{}
+	waiting []waitKind
+
+	// coll is the in-flight collective's rendezvous (one at a time, as
+	// MPI ordering rules require); nil between collectives. Each
+	// waiter keeps its own pointer to the slot it joined. collVals
+	// holds the arrived ranks' contributions, indexed by rank; it is
+	// reused by every collective and cleared once finish has run.
+	coll     *collSlot
+	collVals [][]float64
 
 	// Window registry (windows are created collectively by name).
 	wins map[string]*Win
@@ -71,6 +78,8 @@ type World struct {
 	inj *fault.Injector
 	// pktSeq hands out per-(src,dst) packet sequence numbers, flattened
 	// [src*n+dst]. Each element is written only by src's goroutine.
+	// Allocated only with an injector attached (n² words: 8 MB at 1024
+	// ranks), since only the reliability protocol consumes it.
 	pktSeq []int
 	// bcastSeq numbers broadcasts deterministically (guarded by mu: it
 	// is only consumed inside collective finish closures).
@@ -97,28 +106,41 @@ type World struct {
 	cancelled atomic.Bool
 	cancelCh  chan struct{}
 
-	// sched, when non-nil, is notified whenever a rank blocks inside
-	// the runtime (SetScheduler). Nil — the default — keeps every
-	// blocking operation exactly as before.
+	// sched, when non-nil, owns the worker slots blocked ranks give up
+	// (SetScheduler). Nil — the default — lets every rank goroutine
+	// run free; a wake is then a plain send on the wake channel.
 	sched Scheduler
 }
 
+// waitKind is what a parked rank waits for: it decides which event
+// readies the rank (see park).
+type waitKind uint8
+
+const (
+	notWaiting waitKind = iota
+	waitColl            // a collective rendezvous: readied by its last arrival
+	waitRecv            // a receive: readied by a post to this rank
+)
+
 // Scheduler lets the rank-execution layer above multiplex many ranks
-// over a bounded set of worker goroutine slots: a rank about to block
+// over a bounded set of worker goroutine slots. A rank about to block
 // inside the runtime (receive wait, collective rendezvous, lock
-// acquisition) Parks — releasing its slot so a runnable rank can use
-// the goroutine budget — and Unparks once the wait is over, which may
-// block until a slot frees up again.
+// acquisition) Parks, releasing its slot so a runnable rank can use
+// the goroutine budget. The event that ends the wait calls Ready
+// exactly once with the rank's wake channel; the scheduler sends on
+// that channel once it has granted the rank a slot — a free one at
+// once, or the next one released. The rank therefore wakes already
+// holding its slot and never blocks a second time to reclaim one.
 //
-// Contract: Park may be called with runtime-internal locks held and
-// must never block; Unpark is always called with no runtime locks held
-// and may block. Both are keyed by the rank's physical cluster node,
-// which stays stable across communicator shrinks. The scheduler only
+// Contract: Park and Ready may be called with runtime-internal locks
+// held and must never block; the wake channel has room for the one
+// send. Both are keyed by the rank's physical cluster node, which
+// stays stable across communicator shrinks. The scheduler only
 // affects which goroutines run when — it adds no virtual-time charges,
 // so results are bit-identical with and without one.
 type Scheduler interface {
 	Park(node int)
-	Unpark(node int)
+	Ready(node int, wake chan<- struct{})
 }
 
 // SetScheduler attaches the blocked-rank scheduler. It must be called
@@ -157,16 +179,22 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		cl:       c,
 		n:        n,
 		nodes:    nodes,
-		slots:    make(map[uint64]*collSlot),
+		wake:     make([]chan struct{}, n),
+		waiting:  make([]waitKind, n),
+		collVals: make([][]float64, n),
 		wins:     make(map[string]*Win),
 		boxes:    make(map[mbKey][]*pendingSend),
 		inj:      c.Faults(),
-		pktSeq:   make([]int, n*n),
 		down:     make([]bool, n),
 		crashed:  make([]bool, n),
 		cancelCh: make(chan struct{}),
 	}
-	w.cond = sync.NewCond(&w.mu)
+	for i := range w.wake {
+		w.wake[i] = make(chan struct{}, 1)
+	}
+	if w.inj != nil {
+		w.pktSeq = make([]int, n*n)
+	}
 	if w.inj.Deadline() > 0 {
 		w.startWatchdog()
 	}
@@ -184,6 +212,66 @@ func newWorld(c *cluster.Cluster, nodes []int) *World {
 		w.barrierCost = floor
 	}
 	return w
+}
+
+// park blocks rank until an event of the given kind — or an error-path
+// wake (wakeAll) — readies it. The rank registers itself under w.mu,
+// gives its worker slot back to the scheduler and waits on its own
+// wake channel; it returns with w.mu held again and, under a
+// scheduler, holding a worker slot. A wake is not a verdict: the
+// caller rechecks its wait condition under w.mu and parks again if
+// the wait is not over. Caller holds w.mu.
+func (w *World) park(rank int, kind waitKind) {
+	w.waiting[rank] = kind
+	if w.sched != nil {
+		w.sched.Park(w.nodes[rank])
+	}
+	w.mu.Unlock()
+	<-w.wake[rank]
+	w.mu.Lock()
+}
+
+// ready wakes parked rank. Clearing its registration under w.mu makes
+// every park answered by exactly one ready, so the one-slot wake
+// channel never fills and a rank never wakes twice. Caller holds w.mu.
+func (w *World) ready(rank int) {
+	w.waiting[rank] = notWaiting
+	if w.sched != nil {
+		w.sched.Ready(w.nodes[rank], w.wake[rank])
+		return
+	}
+	w.wake[rank] <- struct{}{}
+}
+
+// wakeAll readies every parked rank so each rechecks its wait against
+// a changed world: a cancellation, a revocation, a departed peer or a
+// watchdog tick. Caller holds w.mu.
+func (w *World) wakeAll() {
+	for r, k := range w.waiting {
+		if k != notWaiting {
+			w.ready(r)
+		}
+	}
+}
+
+// AwaitSlot blocks until the world's scheduler grants the calling rank
+// a worker slot; without a scheduler it returns at once. A rank
+// goroutine calls it once before its first operation and hands the
+// slot back to the scheduler when it exits.
+func (p *Proc) AwaitSlot() {
+	if p.w.sched != nil {
+		p.resume()
+	}
+}
+
+// resume readies the calling rank through the scheduler and blocks
+// until it holds a worker slot. It serves waits outside the park list
+// (rank start, window-lock acquisition), so no other event can signal
+// the rank's wake channel meanwhile.
+func (p *Proc) resume() {
+	ch := p.w.wake[p.rank]
+	p.w.sched.Ready(p.node(), ch)
+	<-ch
 }
 
 // Size reports the number of ranks.
